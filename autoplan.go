@@ -22,8 +22,7 @@ const (
 	// no choice).
 	PlanSourceDefault PlanSource = iota
 	// PlanSourceTokenIndex pins the token inverted-index source. Conflicts
-	// with methods that have none (PartSJ, MethodBruteForce) and with
-	// WithSortedLoop.
+	// with methods that have none (PartSJ, MethodBruteForce).
 	PlanSourceTokenIndex
 	// PlanSourceSortedLoop pins the O(n²) sorted nested loop.
 	PlanSourceSortedLoop
@@ -133,7 +132,7 @@ func (cp *Corpus) planJob(ctx context.Context, c config, job engine.Job, tz engi
 	case c.method == MethodPartSJ:
 		pin = "partsj"
 		tz = nil
-	case tz == nil || c.sortedLoop || job.Source == nil:
+	case tz == nil || job.Source == nil:
 		pin = plan.SourceSortedLoop
 		tz = nil
 	}

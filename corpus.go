@@ -86,9 +86,9 @@ type dynEntry struct {
 //
 // The corpus owns a signature cache: every per-tree artifact any query
 // computes — traversal strings, histograms, Euler strings and gram bags,
-// binary views, δ-partitions, and the verifier's Zhang–Shasha preparations
-// (postorder labels, leftmost-leaf indices, keyroots of both
-// decompositions) — is cached by (artifact, tree) and reused by every later
+// binary views, δ-partitions, and the verifier's arena views (postorder
+// labels, leftmost-leaf indices, keyroots of both decompositions) — is
+// cached by (artifact, tree) and reused by every later
 // query, whatever its threshold or method. A second SelfJoin at a different
 // τ recomputes no per-tree signature and re-runs no prepare; only the
 // τ-dependent pair predicates and candidate enumeration run again. Search
@@ -186,8 +186,7 @@ func (cp *Corpus) runCache() *engine.Cache {
 // machinery: queries differing only in threshold share a searcher (and its
 // per-threshold index LRU).
 type searcherKey struct {
-	pos    core.PositionFilter
-	hybrid bool
+	pos core.PositionFilter
 }
 
 // NewCorpus validates ts (no nil trees, one shared LabelTable) and returns a
@@ -384,7 +383,7 @@ func (cp *Corpus) dropSearchers(epoch int64) {
 // Later trees shift down to keep positions dense, so after the call the
 // corpus is indistinguishable — query for query, pair for pair — from a
 // corpus freshly built over the survivors; ids are stable throughout. The
-// removed trees' cached signatures and preparations are evicted, their
+// removed trees' cached signatures and arena views are evicted, their
 // token-index postings tombstoned (probes skip them; the lists compact once
 // tombstones exceed half the postings), and the per-threshold search-index
 // LRU is invalidated, so no stale index can serve a post-Remove query.
@@ -807,7 +806,7 @@ func (cp *Corpus) searcher(st *corpusState, c config) *core.KNN {
 		capacity = core.DefaultIndexCacheCap
 	}
 	o := c.coreOptions(1) // Tau here only seeds KNN's expanding search
-	key := searcherKey{pos: c.position, hybrid: c.hybrid}
+	key := searcherKey{pos: c.position}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.searcherEpoch != st.epoch {

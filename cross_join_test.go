@@ -130,10 +130,10 @@ func TestPrefilterInvariance(t *testing.T) {
 			samePairs(t, fmt.Sprintf("cross/%v/chain=%d", m, ci), got, cross)
 		}
 	}
-	// Prefilter + workers + hybrid verification compose.
+	// Prefilter + workers compose.
 	got, _ := treejoin.SelfJoin(ts, tau,
 		treejoin.WithPrefilter(treejoin.PrefilterHistogram),
-		treejoin.WithWorkers(4), treejoin.WithHybridVerification())
+		treejoin.WithWorkers(4))
 	want, _ := treejoin.SelfJoin(ts, tau)
 	samePairs(t, "composed", got, want)
 }

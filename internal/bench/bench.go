@@ -34,7 +34,6 @@ const (
 	PRTRandom Method = "PRT-rand"  // random δ-partitioning (ablation)
 	PRTPaper  Method = "PRT-paper" // paper's position ranges (ablation)
 	PRTNoPos  Method = "PRT-nopos" // no position layer (ablation)
-	PRTHybrid Method = "PRT-hyb"   // string-lower-bound verification prefilter
 	BF        Method = "BF"        // size filter only (oracle / REL)
 	HIST      Method = "HIST"      // Kailing et al. histogram bounds (extension)
 	EUL       Method = "EUL"       // Akutsu et al. Euler-string bound (extension)
@@ -80,8 +79,6 @@ func Run(m Method, dataset string, ts []*tree.Tree, tau, workers int) Result {
 		_, st = core.SelfJoin(ts, core.Options{Tau: tau, Workers: workers, Position: core.PositionPaper})
 	case PRTNoPos:
 		_, st = core.SelfJoin(ts, core.Options{Tau: tau, Workers: workers, Position: core.PositionOff})
-	case PRTHybrid:
-		_, st = core.SelfJoin(ts, core.Options{Tau: tau, Workers: workers, HybridVerify: true})
 	case PQG:
 		_, st = loopJob(tau, workers, pqgram.Filter(0)).SelfJoin(ts)
 	case PRTHist:

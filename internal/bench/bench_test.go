@@ -85,16 +85,6 @@ func TestFigure14Shape(t *testing.T) {
 	}
 }
 
-func TestAblationVerificationTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tab := bench.AblationVerification(tinyConfig())
-	if len(tab.Rows) != 10 {
-		t.Fatalf("verification ablation rows = %d", len(tab.Rows))
-	}
-}
-
 func TestAblationTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

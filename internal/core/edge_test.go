@@ -10,8 +10,8 @@ import (
 )
 
 // TestAliasedTrees: the same *Tree object appearing at several collection
-// positions must behave like equal trees (the hybrid verifier keys its
-// sequence cache by pointer, so aliasing is the adversarial case).
+// positions must behave like equal trees (per-tree artifacts are cached by
+// pointer, so aliasing is the adversarial case).
 func TestAliasedTrees(t *testing.T) {
 	lt := tree.NewLabelTable()
 	shared := tree.MustParseBracket("{a{b{c}{d}}{e{f}}}", lt)
@@ -20,7 +20,6 @@ func TestAliasedTrees(t *testing.T) {
 	for _, opts := range []core.Options{
 		{Tau: 0},
 		{Tau: 1},
-		{Tau: 1, HybridVerify: true},
 		{Tau: 1, Workers: 3},
 	} {
 		got, _ := core.SelfJoin(ts, opts)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
 	"treejoin/internal/sim"
+	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -29,12 +31,12 @@ type Incremental struct {
 	ts      []*tree.Tree
 	bins    []*lcrs.Bin
 	parts   []*Partition
+	views   []*ted.TreeView // arena views for the default verifier; nil with a custom one
 	ix      *invIndex
 	smalls  []int
 	checked []int32
 	gen     int32
 	sc      matchScratch
-	seqs    *seqCache
 	stats   sim.Stats
 
 	removed   []bool
@@ -78,15 +80,6 @@ func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 		compactAt: 16,
 		standing:  make(map[uint64]int32),
 	}
-	if opts.HybridVerify && opts.Verifier == nil {
-		inc.seqs = newSeqCache(nil, cache, nil)
-		inc.opts.Verifier = inc.seqs.verifier()
-	} else if opts.Verifier == nil {
-		// τ-banded bounded TED drawing preparations from the stream's cache
-		// (a corpus-backed stream reuses preps its joins already computed; a
-		// nil cache computes them per pair, as before).
-		inc.opts.Verifier = engine.NewTEDVerifier(cache, nil)
-	}
 	return inc
 }
 
@@ -114,8 +107,11 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	start := time.Now()
 	ti := len(inc.ts)
 	inc.ts = append(inc.ts, t)
-	if inc.seqs != nil {
-		inc.seqs.add(t)
+	if inc.opts.Verifier == nil {
+		// The τ-banded bounded TED verifies over arena views, one per
+		// position, drawn from the stream's cache (a corpus-backed stream
+		// reuses the views its joins already built).
+		inc.views = append(inc.views, engine.ViewFor(inc.cache, t))
 	}
 	b := cachedBin(inc.cache, t)
 	inc.bins = append(inc.bins, b)
@@ -160,7 +156,15 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	}
 	inc.stats.CandTime += time.Since(start)
 
-	pairs := sim.VerifyAll(inc.ts, cands, inc.opts.Tau, inc.opts.Verifier, sim.NormalizeWorkers(inc.opts.Workers), &inc.stats)
+	verifiers := engine.ViewVerifiers(inc.views, nil)
+	if inc.opts.Verifier != nil {
+		verifiers = sim.AdaptVerifier(inc.ts, inc.opts.Verifier)
+	}
+	var pairs []sim.Pair
+	sim.VerifyStreamBatched(context.Background(), cands, inc.opts.Tau, verifiers, sim.NormalizeWorkers(inc.opts.Workers), &inc.stats, func(p sim.Pair) bool {
+		pairs = append(pairs, p)
+		return true
+	})
 
 	pStart := time.Now()
 	if sz >= inc.delta {
@@ -230,6 +234,9 @@ func (inc *Incremental) Remove(i int) bool {
 	inc.ts[i] = nil
 	inc.bins[i] = nil
 	inc.parts[i] = nil
+	if inc.views != nil {
+		inc.views[i] = nil
+	}
 	if inc.nRemoved >= inc.compactAt && inc.nRemoved*2 >= len(inc.ts) {
 		inc.compact()
 	}

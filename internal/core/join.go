@@ -20,12 +20,9 @@ type Options struct {
 	RandomPartition bool
 	// Seed seeds the random partitioner (ignored unless RandomPartition).
 	Seed int64
-	// Verifier decides candidate pairs; nil means ted.DistanceBounded.
+	// Verifier decides candidate pairs; nil means the τ-banded bounded TED
+	// over arena views (ted.DistanceBoundedView).
 	Verifier sim.Verifier
-	// HybridVerify screens candidates with the τ-banded traversal-string
-	// lower bounds before the cubic TED (see verify.go). Ignored when
-	// Verifier is set; not supported by Incremental.
-	HybridVerify bool
 	// Workers parallelises TED verification, the partitioning pre-pass, and
 	// (through ShardedSelfJoin's fragment-and-replicate decomposition) the
 	// candidate generation tasks. 1 runs sequentially; values below 1
@@ -43,8 +40,7 @@ func (o Options) validate() error {
 }
 
 // Job assembles the engine job for a PartSJ execution: the inverted subgraph
-// index as the candidate source, prefilters (if any) ahead of it, and the
-// hybrid string-bound verifier when configured.
+// index as the candidate source and prefilters (if any) ahead of it.
 func (o Options) Job(shards int, filters []engine.PairFilter) engine.Job {
 	job := engine.Job{
 		Source:   NewSource(o),
@@ -53,9 +49,6 @@ func (o Options) Job(shards int, filters []engine.PairFilter) engine.Job {
 		Verifier: o.Verifier,
 		Workers:  o.Workers,
 		Shards:   shards,
-	}
-	if o.HybridVerify && o.Verifier == nil {
-		job.VerifierFor = HybridVerifier
 	}
 	// PartSJ's candidate source is its own subgraph index — never a planner
 	// choice — so every PartSJ run carries this fixed plan record.
@@ -93,13 +86,4 @@ func Join(a, b []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
 		panic(err)
 	}
 	return opts.Job(0, nil).Join(a, b)
-}
-
-// HybridVerifier returns the hybrid verification stage over a run's
-// collection: candidates are screened with the τ-banded traversal-string
-// lower bounds before the τ-banded bounded TED (see verify.go), with both
-// the sequences and the TED preparations drawn from the run's artifact
-// cache. It is the engine Job.VerifierFor hook behind Options.HybridVerify.
-func HybridVerifier(c *engine.Collection) sim.Verifier {
-	return newSeqCache(c.Trees, c.Cache(), c.VerifyCounters()).verifier()
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
@@ -24,7 +26,6 @@ type Index struct {
 	opts   Options
 	ts     []*tree.Tree
 	cache  *engine.Cache
-	seqs   *seqCache // non-nil when the index owns the hybrid verifier
 	parts  []*Partition
 	ix     *invIndex
 	smalls []int
@@ -59,13 +60,6 @@ func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 		cache: cache,
 		parts: make([]*Partition, len(ts)),
 		ix:    newInvIndex(opts.Tau, opts.Position),
-	}
-	if opts.HybridVerify && opts.Verifier == nil {
-		// Kept on the index (not just as an opts.Verifier closure) so
-		// SearchCtx can pre-bind each query instead of re-deriving its
-		// sequences and preparation per candidate.
-		ix.seqs = newSeqCache(ts, cache, nil)
-		ix.opts.Verifier = ix.seqs.verifier()
 	}
 	delta := opts.delta()
 	partKey := partitionCacheKey(delta)
@@ -104,28 +98,6 @@ const searchCtxStride = 64
 // SearchCtx is Search under a context: cancellation aborts the probe and
 // verification loops promptly and returns ctx's error with nil matches.
 func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
-	verify := x.opts.Verifier
-	switch {
-	case x.seqs != nil:
-		// Hybrid screen with the query's sequences and preparation bound
-		// once per call.
-		verify = x.seqs.searchVerifier(q)
-	case verify == nil:
-		// τ-banded bounded TED: collection preparations come from the
-		// index's artifact cache; the query's preparation is computed once
-		// per call and never stored, so query traffic cannot pin the cache.
-		qp := ted.NewPrep(q)
-		verify = func(t1, t2 *tree.Tree, tau int) (int, bool) {
-			p1, p2 := qp, qp
-			if t1 != q {
-				p1 = engine.PrepFor(x.cache, t1)
-			}
-			if t2 != q {
-				p2 = engine.PrepFor(x.cache, t2)
-			}
-			return ted.DistanceBoundedPrep(p1, p2, tau, nil)
-		}
-	}
 	b := lcrs.Build(q)
 	sz := q.Size()
 	tau := x.opts.Tau
@@ -160,6 +132,20 @@ func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 			}
 		})
 	}
+	verify := x.opts.Verifier
+	if verify == nil && len(cands) > 0 {
+		// τ-banded bounded TED over arena views: each candidate's view is
+		// looked up in the index's artifact cache as it is verified (a
+		// search touches only what its filter let through); the query's
+		// view is built once per call and never stored, so query traffic
+		// cannot pin the cache.
+		qv := ted.BuildViews([]*tree.Tree{q})[0]
+		s := ted.AcquireScratch()
+		defer ted.ReleaseScratch(s)
+		verify = func(t1, _ *tree.Tree, tau int) (int, bool) {
+			return ted.DistanceBoundedView(engine.ViewFor(x.cache, t1), qv, tau, s, nil)
+		}
+	}
 	var out []Match
 	for _, i := range cands {
 		if ctx.Err() != nil {
@@ -169,14 +155,6 @@ func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 			out = append(out, Match{Pos: i, Dist: d})
 		}
 	}
-	sortMatches(out)
+	slices.SortFunc(out, func(a, b Match) int { return cmp.Compare(a.Pos, b.Pos) })
 	return out, nil
-}
-
-func sortMatches(ms []Match) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Pos < ms[j-1].Pos; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }

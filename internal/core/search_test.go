@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"treejoin/internal/core"
+	"treejoin/internal/engine"
 	"treejoin/internal/synth"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
@@ -51,35 +55,69 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestHybridSearchMatchesBruteForce: an index built with HybridVerify
-// returns the same matches as the exact scan for queries from outside (and
-// inside) the collection. Regression test: the hybrid screen used to look
-// the query's traversal sequences up in a collection-only map, treat the
-// miss as empty sequences, and prune every candidate.
-func TestHybridSearchMatchesBruteForce(t *testing.T) {
+// TestSearchKNNQueryOutsideCorpus: Search and KNN with query trees that are
+// not collection members — including one parsed from a member's text, equal
+// in value but a distinct pointer — match an exhaustive scan with the exact
+// TED, under the default verifier (with and without an artifact cache, so
+// collection views are both cached and built per candidate) and under a
+// custom Options.Verifier, the hook perfbench's replay instruments.
+// Regression test: the old hybrid screen looked the query's traversal
+// sequences up in a collection-only map, treated the miss as empty
+// sequences, and pruned every candidate.
+func TestSearchKNNQueryOutsideCorpus(t *testing.T) {
 	ts := synth.Generate(synth.Params{
 		N: 50, AvgSize: 20, SizeJitter: 0.4, MaxFanout: 4, MaxDepth: 8,
 		Labels: 8, DepthBias: 0, Cluster: 4, Decay: 0.08, Seed: 23})
 	lt := ts[0].Labels
 	queries := []*tree.Tree{
 		tree.MustParseBracket(tree.FormatBracket(ts[7]), lt), // near-member, distinct pointer
-		ts[12], // a member itself
 		tree.MustParseBracket("{l0{l1}{l2}}", lt),
+		tree.MustParseBracket("{l3{l1{l4}{l0}}{l2}{l5{l6}}}", lt),
 	}
-	for tau := 0; tau <= 2; tau++ {
-		ix := core.NewIndex(ts, core.Options{Tau: tau, HybridVerify: true})
-		plain := core.NewIndex(ts, core.Options{Tau: tau})
+	var calls atomic.Int64
+	custom := func(t1, t2 *tree.Tree, tau int) (int, bool) {
+		calls.Add(1)
+		return ted.DistanceBounded(t1, t2, tau)
+	}
+	variants := []struct {
+		name  string
+		opts  core.Options
+		cache *engine.Cache
+	}{
+		{"default", core.Options{}, nil},
+		{"default+cache", core.Options{}, engine.NewCache()},
+		{"custom", core.Options{Verifier: custom}, engine.NewCache()},
+	}
+	const k = 5
+	for _, v := range variants {
+		knn := core.NewKNNCached(ts, v.opts, v.cache, core.DefaultIndexCacheCap)
 		for qi, q := range queries {
-			got, want := ix.Search(q), plain.Search(q)
-			if len(got) != len(want) {
-				t.Fatalf("τ=%d q%d: hybrid %d matches, plain %d (%v vs %v)", tau, qi, len(got), len(want), got, want)
+			var all []core.Match
+			for i, c := range ts {
+				all = append(all, core.Match{Pos: i, Dist: ted.Distance(c, q)})
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("τ=%d q%d: hybrid match %d = %v, want %v", tau, qi, i, got[i], want[i])
+			for tau := 0; tau <= 3; tau++ {
+				var want []core.Match
+				for _, m := range all {
+					if m.Dist <= tau {
+						want = append(want, m)
+					}
+				}
+				got := knn.IndexAt(tau).Search(q)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s τ=%d q%d: Search %v, want %v", v.name, tau, qi, got, want)
 				}
 			}
+			slices.SortFunc(all, func(a, b core.Match) int {
+				return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
+			})
+			if got := knn.Nearest(q, k); !slices.Equal(got, all[:k]) {
+				t.Fatalf("%s q%d: KNN %v, want %v", v.name, qi, got, all[:k])
+			}
 		}
+	}
+	if calls.Load() == 0 {
+		t.Fatal("custom verifier never called")
 	}
 }
 
@@ -134,23 +172,5 @@ func TestSearchTinyTreesAndEmpty(t *testing.T) {
 	}
 	if ix.Len() != 3 || ix.Tree(2) != ts[2] {
 		t.Fatal("accessors wrong")
-	}
-}
-
-func TestSearchHybridVerify(t *testing.T) {
-	ts := synth.Synthetic(60, 23)
-	plain := core.NewIndex(ts, core.Options{Tau: 2})
-	hybrid := core.NewIndex(ts, core.Options{Tau: 2, HybridVerify: true})
-	for _, q := range ts[:10] {
-		a := plain.Search(q)
-		b := hybrid.Search(q)
-		if len(a) != len(b) {
-			t.Fatalf("hybrid search differs: %v vs %v", a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("hybrid search differs at %d", i)
-			}
-		}
 	}
 }

@@ -86,12 +86,6 @@ func (c *Collection) Cancelled() bool { return c.ctx.Err() != nil }
 // least lets concurrent tasks of the same join share per-tree artifacts.
 func (c *Collection) Cache() *Cache { return c.cache }
 
-// VerifyCounters returns the run's shared τ-banded verifier instrumentation.
-// Verifiers built for this run (the default TED verifier, the hybrid
-// screen's fallback) record their pruning here; the engine folds the totals
-// into the run's Stats.
-func (c *Collection) VerifyCounters() *ted.Counters { return c.counters }
-
 // Cross reports whether the collection is the union of two sides.
 func (c *Collection) Cross() bool { return c.Split >= 0 }
 
@@ -350,13 +344,8 @@ type Job struct {
 	// Tau is the TED threshold τ ≥ 0.
 	Tau int
 	// Verifier decides candidate pairs; nil installs the default τ-banded
-	// TED verifier over preparations cached in the run's Cache.
+	// TED verifier over arena views cached in the run's Cache.
 	Verifier sim.Verifier
-	// VerifierFor, when non-nil and Verifier is nil, builds the verifier
-	// from the run's collection (e.g. the hybrid screen's sequence cache,
-	// which draws on the collection's artifact cache and verify counters).
-	// It runs once per join.
-	VerifierFor func(c *Collection) sim.Verifier
 	// Workers sizes the worker pool used for candidate generation and TED
 	// verification; 1 runs sequentially, and values below 1 ("unset") are
 	// normalized to runtime.GOMAXPROCS(0).
@@ -479,15 +468,11 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	stats.CandTime += time.Since(start)
 	stats.CandWall += time.Since(start)
 
-	verifier := job.Verifier
-	if verifier == nil && job.VerifierFor != nil {
-		verifier = job.VerifierFor(c)
-	}
 	var vfactory sim.BatchVerifierFactory
-	if verifier != nil {
-		// A custom verifier (a test's instrumentation, the unbanded
-		// ablation) runs through the same batched stage, adapted statelessly.
-		vfactory = sim.AdaptVerifier(ts, verifier)
+	if job.Verifier != nil {
+		// A custom verifier (a test's instrumentation) runs through the same
+		// batched stage, adapted statelessly.
+		vfactory = sim.AdaptVerifier(ts, job.Verifier)
 	} else {
 		// The arena views are τ-independent per-tree signatures like any
 		// filter's: compute (or warm-hit) every tree's now, so the corpus

@@ -323,7 +323,7 @@ func (m *Model) decide(req Request, free bool, wp int64) (Decision, bool) {
 	// decisive, absolutely-worthwhile predicted saving. The loop's cost is
 	// estimable even when it never ran — every window pair crosses the
 	// planned chain — but an actual loop observation (calibration's mini
-	// run, a WithSortedLoop ablation) is preferred.
+	// run, a sorted-loop fixed plan) is preferred.
 	useIndex := req.Tokenizer != nil
 	srcName := req.PinSource
 	var candEst float64

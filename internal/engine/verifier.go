@@ -6,41 +6,31 @@ import (
 	"treejoin/internal/tree"
 )
 
-// prepKey names the per-tree Zhang–Shasha preparation artifact in the
-// corpus cache: postorder labels, leftmost-leaf indices and keyroots of both
-// the left- and right-path decompositions, the strategy costs, and the
-// sorted label multiset (ted.Prep). Like every per-tree signature it is
-// τ-independent, so a warm corpus never re-runs prepare whatever threshold
-// or method a later join picks.
-const prepKey = "ted/prep"
-
-// PrepFor returns the cached verifier preparation of t, computing and
-// caching it on first use. A nil cache computes a fresh preparation.
-func PrepFor(c *Cache, t *tree.Tree) *ted.Prep {
-	if v, ok := c.Lookup(prepKey, t); ok {
-		return v.(*ted.Prep)
-	}
-	p := ted.NewPrep(t)
-	c.Store(prepKey, t, p)
-	return p
-}
-
-// NewTEDVerifier returns the default candidate verifier: the τ-banded,
-// early-terminating bounded TED over cached preparations. tc, when non-nil,
-// accumulates the verifier's pruning counters (it is safe to share across
-// workers); the engine folds them into the run's Stats.
-func NewTEDVerifier(c *Cache, tc *ted.Counters) sim.Verifier {
-	return func(t1, t2 *tree.Tree, tau int) (int, bool) {
-		return ted.DistanceBoundedPrep(PrepFor(c, t1), PrepFor(c, t2), tau, tc)
-	}
-}
-
 // ArenaKey names the per-tree struct-of-arrays verification view in the
 // corpus cache (ted.TreeView): the postorder label/lml arrays of both
 // decompositions, keyroots in both orders, structural arrays, sorted labels,
 // and strategy costs. τ-independent like every signature, so a warm corpus
 // verifies any later join out of the same arenas.
 const ArenaKey = "ted/arena"
+
+// ViewFor returns the cached arena view of t, building and caching a
+// single-tree view on a miss. A nil cache builds a fresh view. It is the
+// per-candidate lookup of callers whose candidates are a small subset of the
+// collection (a search verifies only what its filter let through), where
+// resolving every tree's view up front, as ArenaFor does, would cost more
+// than the verification.
+func ViewFor(c *Cache, t *tree.Tree) *ted.TreeView {
+	if v, ok := c.Lookup(ArenaKey, t); ok {
+		return v.(*ted.TreeView)
+	}
+	v := ted.BuildViews([]*tree.Tree{t})[0]
+	c.Store(ArenaKey, t, v)
+	return v
+}
+
+// PrepFor is ViewFor under its pre-arena name. Kept for the perfbench
+// module.
+func PrepFor(c *Cache, t *tree.Tree) *ted.Prep { return ViewFor(c, t) }
 
 // ArenaFor returns the arena views of the collection, in order, serving each
 // tree from the cache and flattening the misses in one contiguous BuildViews
@@ -99,20 +89,13 @@ func (v *arenaVerifier) Close() {
 // tc, when non-nil, accumulates pruning and strategy counters across all
 // workers; the engine folds them into the run's Stats.
 func NewArenaVerifiers(ts []*tree.Tree, c *Cache, tc *ted.Counters) sim.BatchVerifierFactory {
-	views := ArenaFor(c, ts)
-	return func() sim.BatchVerifier {
-		return &arenaVerifier{views: views, s: ted.AcquireScratch(), tc: tc}
-	}
+	return ViewVerifiers(ArenaFor(c, ts), tc)
 }
 
-// FullTEDVerifier is the Job.VerifierFor hook that forces the pre-banding
-// verifier — size lower bound, then the full (unbanded) Zhang–Shasha DP — on
-// every candidate. It backs the public WithUnbandedVerification ablation
-// option and the verify benchmarks' baseline; results are identical to the
-// banded verifier, only slower.
-func FullTEDVerifier(c *Collection) sim.Verifier {
-	cache := c.Cache()
-	return func(t1, t2 *tree.Tree, tau int) (int, bool) {
-		return ted.DistanceBoundedPrepFull(PrepFor(cache, t1), PrepFor(cache, t2), tau)
+// ViewVerifiers is the batched verifier factory over already-resolved views:
+// VerifyPair(i, j) decides views[i] against views[j].
+func ViewVerifiers(views []*ted.TreeView, tc *ted.Counters) sim.BatchVerifierFactory {
+	return func() sim.BatchVerifier {
+		return &arenaVerifier{views: views, s: ted.AcquireScratch(), tc: tc}
 	}
 }

@@ -138,7 +138,7 @@ type Stats struct {
 
 	// τ-banded verifier counters, recorded by the default threshold-aware
 	// TED verifier (zero when a custom Verifier decided the candidates; see
-	// internal/ted and DESIGN.md, "Threshold-aware verification").
+	// internal/ted and DESIGN.md, "Verification: one τ-banded kernel").
 	DPAvoided       int64 // candidates settled by the size/label lower bounds alone — full DPs avoided
 	KeyrootsSkipped int64 // keyroot-pair forest DPs pruned by the positional skip
 	BandAborts      int64 // forest DPs cut short when a banded row's frontier exceeded τ
@@ -174,9 +174,9 @@ func NormalizeWorkers(n int) int {
 type Verifier func(t1, t2 *tree.Tree, tau int) (int, bool)
 
 // DefaultVerifier is the τ-banded bounded TED (RTED-style strategy choice,
-// threshold-aware DP). Engine-driven joins install a cache-backed variant
-// that reuses per-tree preparations; this uncached form is the fallback for
-// direct VerifyStream callers.
+// threshold-aware DP). Engine-driven joins verify over arena views cached
+// per tree; this uncached form is the fallback for direct VerifyStream
+// callers.
 func DefaultVerifier(t1, t2 *tree.Tree, tau int) (int, bool) {
 	return ted.DistanceBounded(t1, t2, tau)
 }
@@ -223,14 +223,14 @@ const verifyCtxStride = 16
 // lock acquisition. Candidate decisions are microseconds, not nanoseconds, so
 // the chunk is about amortising the take/deliver mutex and keeping each
 // worker on one run of the candidate slice (the pairs of a run share trees
-// far more often than random pairs do — the arena verifier's prep lookups and
+// far more often than random pairs do — the arena verifier's view lookups and
 // scratch stay hot); it is small enough that the tail imbalance stays under a
 // chunk's worth of work per worker.
 const verifyBatchChunk = 32
 
 // BatchVerifier is a per-worker verification context: it decides candidate
 // pairs by collection index and may hold worker-private state — DP scratch, a
-// prep table — that VerifyPair reuses across the whole batch. Close releases
+// view table — that VerifyPair reuses across the whole batch. Close releases
 // that state (returns scratch to its pool); the verifier must not be used
 // after Close. A BatchVerifier is confined to one goroutine, so VerifyPair
 // needs no locking.

@@ -39,6 +39,9 @@ func Search(data, query *tree.Tree, tau int) []Match {
 		return nil
 	}
 	qSize := query.Size()
+	qView := ted.BuildViews([]*tree.Tree{query})[0]
+	s := ted.AcquireScratch()
+	defer ted.ReleaseScratch(s)
 	qPre := tree.LabelSeq(query, tree.Preorder(query))
 	qPost := tree.LabelSeq(query, tree.Postorder(query))
 
@@ -74,7 +77,8 @@ func Search(data, query *tree.Tree, tau int) []Match {
 		if strdist.Bounded(q, qPost, tau) > tau {
 			continue
 		}
-		if d, ok := ted.DistanceBounded(tree.SubtreeAt(data, n), query, tau); ok {
+		v := ted.BuildViews([]*tree.Tree{tree.SubtreeAt(data, n)})[0]
+		if d, ok := ted.DistanceBoundedView(v, qView, tau, s, nil); ok {
 			out = append(out, Match{Root: n, Dist: d})
 		}
 	}

@@ -1,11 +1,10 @@
-// Struct-of-arrays tree arenas. The pointer-based verifier of banded.go
-// walks heap-scattered prep structs; at paper scale the DP is memory-bound,
-// so this file flattens every tree of a collection into postorder-indexed
-// parallel slices carved out of one contiguous int32 block:
+// Struct-of-arrays tree arenas. At paper scale the verifier's DP is
+// memory-bound, so this file flattens every tree of a collection into
+// postorder-indexed parallel slices carved out of one contiguous int32 block:
 //
 //   - labels and leftmost-leaf indices of the left-path decomposition,
-//   - the same two arrays of the mirrored (right-path) decomposition, built
-//     exactly as prepareMirrored builds them but materialised eagerly —
+//   - the same two arrays of the mirrored (right-path) decomposition
+//     (≡ prepare(Mirror(t)), built without materialising the mirror) —
 //     the strategy-driven kernel flips between the two array sets per pair,
 //   - keyroots of both decompositions, each also sorted by leftmost leaf so
 //     the banded kernel binary-searches its τ-window instead of scanning,
@@ -20,7 +19,7 @@
 package ted
 
 import (
-	"sort"
+	"slices"
 
 	"treejoin/internal/tree"
 )
@@ -31,8 +30,8 @@ import (
 // TreeView is immutable after construction and safe to share across
 // goroutines.
 type TreeView struct {
-	// T is the tree this view flattens, kept for the rare fallback paths
-	// (oversized bands) and for tests; the kernel itself never touches it.
+	// T is the tree this view flattens, kept for the oversized-band fallback
+	// and for tests; the kernel itself never touches it.
 	T *tree.Tree
 
 	// Left-path (standard postorder) decomposition arrays, exactly the
@@ -41,7 +40,7 @@ type TreeView struct {
 	Lml    []int32 // postorder index of the leftmost leaf of the subtree at i
 
 	// Right-path decomposition arrays over the mirrored postorder, exactly
-	// the arrays prepareMirrored(T) computes (≡ prepare(Mirror(T))).
+	// the arrays prepare(Mirror(T)) computes.
 	RLabels []int32
 	Rml     []int32
 
@@ -70,8 +69,8 @@ type TreeView struct {
 	SortedLabels []int32
 
 	// CostL and CostR are the RTED-style strategy costs of the left- and
-	// right-path decompositions (identical to Prep's); the per-pair
-	// decomposition choice multiplies them.
+	// right-path decompositions; the per-pair decomposition choice
+	// multiplies them.
 	CostL, CostR int64
 }
 
@@ -79,20 +78,24 @@ type TreeView struct {
 func (v *TreeView) Size() int { return len(v.Labels) }
 
 // BuildViews flattens a collection into arena views backed by one contiguous
-// int32 block: per tree, 8·n array cells plus 4·leaves keyroot cells, laid
+// int32 block: per tree, 9·n array cells plus 4·leaves keyroot cells, laid
 // out back-to-back in collection order. Construction allocates (it is a
-// build-time, per-collection cost the engine caches); verification over the
-// views does not.
+// build-time, per-collection cost the engine caches, and a per-call cost for
+// a search query's view); verification over the views does not.
 func BuildViews(ts []*tree.Tree) []*TreeView {
-	total := 0
+	total, maxN := 0, 0
 	for _, t := range ts {
 		total += 9*t.Size() + 4*leafCount(t)
+		maxN = max(maxN, t.Size())
 	}
 	block := make([]int32, total)
+	structs := make([]TreeView, len(ts))
 	views := make([]*TreeView, len(ts))
+	sc := newViewScratch(maxN)
 	off := 0
 	for i, t := range ts {
-		views[i], off = buildView(t, block, off)
+		views[i] = &structs[i]
+		off = buildView(views[i], t, block, off, sc)
 	}
 	return views
 }
@@ -110,8 +113,51 @@ func leafCount(t *tree.Tree) int {
 	return n
 }
 
-// buildView fills one tree's view from block[off:], returning the new offset.
-func buildView(t *tree.Tree, block []int32, off int) (*TreeView, int) {
+// postFrame is one level of the iterative postorder walk: a node and the
+// next child to visit.
+type postFrame struct{ node, child int32 }
+
+// viewScratch is buildView's working memory, sized for the largest tree of a
+// batch and reused across it: node-id-indexed postorder ranks and
+// decomposition leaves, the child links a postorder walk follows, a
+// postorder, the keyroot owner table, and the walk's stack.
+type viewScratch struct {
+	rank, leaf, first, next, post, owner []int32
+	stack                                []postFrame
+}
+
+func newViewScratch(n int) *viewScratch {
+	buf := make([]int32, 6*n)
+	return &viewScratch{
+		rank: buf[:n], leaf: buf[n : 2*n], first: buf[2*n : 3*n],
+		next: buf[3*n : 4*n], post: buf[4*n : 5*n], owner: buf[5*n:],
+		stack: make([]postFrame, 0, 16),
+	}
+}
+
+// walkPost returns the postorder from root that visits each node u's
+// children starting at sc.first[u] and following sc.next.
+func (sc *viewScratch) walkPost(root int32) []int32 {
+	post := sc.post[:0]
+	stack := append(sc.stack[:0], postFrame{root, sc.first[root]})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.child == tree.None {
+			post = append(post, top.node)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := top.child
+		top.child = sc.next[c]
+		stack = append(stack, postFrame{c, sc.first[c]})
+	}
+	sc.stack = stack
+	return post
+}
+
+// buildView fills v with t's view, carving its arrays from block[off:], and
+// returns the new offset.
+func buildView(v *TreeView, t *tree.Tree, block []int32, off int, sc *viewScratch) int {
 	n := t.Size()
 	leaves := leafCount(t)
 	take := func(k int) []int32 {
@@ -119,121 +165,107 @@ func buildView(t *tree.Tree, block []int32, off int) (*TreeView, int) {
 		off += k
 		return s
 	}
-	v := &TreeView{T: t}
+	v.T = t
 	v.Labels, v.Lml = take(n), take(n)
 	v.RLabels, v.Rml = take(n), take(n)
 	v.Keyroots, v.KrByLml = take(leaves), take(leaves)
 	v.RKeyroots, v.RKrByLml = take(leaves), take(leaves)
 	v.Depth, v.Parent, v.RParent, v.SubtreeSize = take(n), take(n), take(n), take(n)
 	v.SortedLabels = take(n)
-	v.CostL, v.CostR = strategyCost(t)
 
 	// Left decomposition: standard postorder, leftmost leaves memoised
 	// bottom-up (children precede parents in postorder).
-	post := tree.Postorder(t)
-	rank := make([]int32, n)
+	first, next := sc.first, sc.next
+	for id := range t.Nodes {
+		first[id], next[id] = t.Nodes[id].FirstChild, t.Nodes[id].NextSibling
+	}
+	post := sc.walkPost(t.Root())
+	rank, leafNode := sc.rank, sc.leaf
 	for i, u := range post {
 		rank[u] = int32(i)
-	}
-	leafNode := make([]int32, n)
-	for _, u := range post {
-		if fc := t.Nodes[u].FirstChild; fc == tree.None {
+		if fc := first[u]; fc == tree.None {
 			leafNode[u] = u
 		} else {
 			leafNode[u] = leafNode[fc]
 		}
 	}
+	// The strategy costs (see strategyCost) sum, over every non-root node,
+	// its subtree size once per sibling it has on the decomposition side.
+	v.CostL, v.CostR = int64(n), int64(n)
 	for i, u := range post {
-		v.Labels[i] = t.Nodes[u].Label
+		nd := &t.Nodes[u]
+		v.Labels[i] = nd.Label
 		v.Lml[i] = rank[leafNode[u]]
-		if p := t.Nodes[u].Parent; p == tree.None {
+		size := int32(i) - v.Lml[i] + 1
+		v.SubtreeSize[i] = size
+		if nd.Parent == tree.None {
 			v.Parent[i] = -1
-		} else {
-			v.Parent[i] = rank[p]
+			continue
 		}
-		v.SubtreeSize[i] = int32(i) - v.Lml[i] + 1
-	}
-	// Reverse postorder visits parents before children, so depths fill in
-	// one pass without recursion.
-	depthNode := make([]int32, n)
-	for i := n - 1; i >= 0; i-- {
-		u := post[i]
-		if p := t.Nodes[u].Parent; p != tree.None {
-			depthNode[u] = depthNode[p] + 1
+		v.Parent[i] = rank[nd.Parent]
+		if t.Nodes[nd.Parent].FirstChild != u {
+			v.CostL += int64(size)
+		}
+		if nd.NextSibling != tree.None {
+			v.CostR += int64(size)
 		}
 	}
-	for i, u := range post {
-		v.Depth[i] = depthNode[u]
+	// Parents follow their children in postorder, so a descending pass sees
+	// every parent's depth before its children's (the root's stays 0).
+	for i := n - 2; i >= 0; i-- {
+		v.Depth[i] = v.Depth[v.Parent[i]] + 1
 	}
-	fillKeyroots(v.Lml, v.Keyroots, v.KrByLml)
+	fillKeyroots(v.Lml, v.Keyroots, v.KrByLml, sc.owner)
 
-	// Right decomposition: mirrored postorder, the same construction as
-	// prepareMirrored — children walked right-to-left through inverted
-	// sibling links, decomposition leaf = rightmost leaf.
-	last := make([]int32, n)
-	prev := make([]int32, n)
+	// Right decomposition: mirrored postorder — children walked
+	// right-to-left through inverted sibling links (first becomes the last
+	// child, next the previous sibling), decomposition leaf = rightmost leaf.
 	for id := range t.Nodes {
 		var p int32 = tree.None
 		for c := t.Nodes[id].FirstChild; c != tree.None; c = t.Nodes[c].NextSibling {
-			prev[c] = p
+			next[c] = p
 			p = c
 		}
-		last[id] = p
+		first[id] = p
 	}
-	rpost := make([]int32, 0, n)
-	type frame struct{ node, child int32 }
-	stack := make([]frame, 0, 16)
-	root := t.Root()
-	stack = append(stack, frame{root, last[root]})
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.child == tree.None {
-			rpost = append(rpost, top.node)
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		c := top.child
-		top.child = prev[c]
-		stack = append(stack, frame{c, last[c]})
-	}
-	rrank, rleafNode := rank, leafNode // reuse the left-pass scratch
+	rpost := sc.walkPost(t.Root())
 	for i, u := range rpost {
-		rrank[u] = int32(i)
-	}
-	for _, u := range rpost {
-		if lc := last[u]; lc == tree.None {
-			rleafNode[u] = u
+		rank[u] = int32(i)
+		if lc := first[u]; lc == tree.None {
+			leafNode[u] = u
 		} else {
-			rleafNode[u] = rleafNode[lc]
+			leafNode[u] = leafNode[lc]
 		}
 	}
 	for i, u := range rpost {
 		v.RLabels[i] = t.Nodes[u].Label
-		v.Rml[i] = rrank[rleafNode[u]]
+		v.Rml[i] = rank[leafNode[u]]
 		if p := t.Nodes[u].Parent; p == tree.None {
 			v.RParent[i] = -1
 		} else {
-			v.RParent[i] = rrank[p]
+			v.RParent[i] = rank[p]
 		}
 	}
-	fillKeyroots(v.Rml, v.RKeyroots, v.RKrByLml)
+	fillKeyroots(v.Rml, v.RKeyroots, v.RKrByLml, sc.owner)
 
 	copy(v.SortedLabels, v.Labels)
-	sort.Slice(v.SortedLabels, func(a, b int) bool { return v.SortedLabels[a] < v.SortedLabels[b] })
-	return v, off
+	slices.Sort(v.SortedLabels)
+	return off
 }
 
 // fillKeyroots writes the keyroots of a decomposition given its lml array —
 // the nodes no later postorder node shares a decomposition leaf with — in
-// ascending postorder into kr, and the same set sorted by ascending lml into
-// krByLml. len(kr) must equal the tree's leaf count.
-func fillKeyroots(lml, kr, krByLml []int32) {
+// ascending postorder into kr, and the same set ordered by ascending lml into
+// krByLml. len(kr) must equal the tree's leaf count; owner is scratch of at
+// least len(lml) cells.
+func fillKeyroots(lml, kr, krByLml, owner []int32) {
 	n := len(lml)
-	seen := make([]bool, n)
+	owner = owner[:n]
+	clear(owner)
 	k := len(kr)
 	for i := n - 1; i >= 0; i-- {
-		if !seen[lml[i]] {
-			seen[lml[i]] = true
+		if owner[lml[i]] == 0 {
+			owner[lml[i]] = int32(i) + 1
 			k--
 			kr[k] = int32(i)
 		}
@@ -241,6 +273,12 @@ func fillKeyroots(lml, kr, krByLml []int32) {
 	if k != 0 {
 		panic("ted: keyroot count does not match leaf count")
 	}
-	copy(krByLml, kr)
-	sort.Slice(krByLml, func(a, b int) bool { return lml[krByLml[a]] < lml[krByLml[b]] })
+	// Every keyroot owns a distinct decomposition leaf, so walking the leaf
+	// positions in ascending order lists the keyroots by ascending lml.
+	for _, o := range owner {
+		if o != 0 {
+			krByLml[k] = o - 1
+			k++
+		}
+	}
 }

@@ -1,21 +1,31 @@
-// Threshold-aware (τ-banded) Zhang–Shasha. The similarity joins never need
-// an unbounded distance: every candidate pair comes with the join threshold
-// τ, and the verifier only has to decide TED ≤ τ — exactly when it is, the
-// exact distance is wanted. This file implements that tri-state verifier as
-// a banded variant of the DP in zs.go, in the spirit of Touzet's k-strip
-// algorithms for similar trees:
+// Threshold-aware (τ-banded) Zhang–Shasha over arena views — the one TED
+// verifier behind every join, search and streaming method. The similarity
+// joins never need an unbounded distance: every candidate pair comes with
+// the join threshold τ, and the verifier only has to decide TED ≤ τ —
+// exactly when it is, the exact distance is wanted. This file implements
+// that tri-state verifier as a banded variant of the DP in zs.go, in the
+// spirit of Touzet's k-strip algorithms for similar trees:
 //
 //   - every forest DP touches only cells within τ of its diagonal (any cell
 //     farther out has forest distance > τ by the size argument);
 //   - keyroot pairs whose leftmost leaves sit more than τ postorder
 //     positions apart are skipped outright (no ≤ τ mapping can use any
-//     subtree-pair entry they would produce);
+//     subtree-pair entry they would produce): each keyroot of one tree
+//     binary-searches the other tree's keyroots (pre-sorted by leftmost leaf
+//     in the arena) for its τ-window instead of scanning all of them;
 //   - a forest DP is abandoned as soon as an entire row of its band exceeds
-//     τ (the frontier can never recover — see DESIGN.md, "Threshold-aware
-//     verification" for the correctness argument);
-//   - DP scratch memory (the subtree-distance matrix and forest-distance
-//     rows) comes from a sync.Pool, so steady-state verification allocates
-//     nothing per pair.
+//     τ (the frontier can never recover — see DESIGN.md, "Verification: one
+//     τ-banded kernel" for the correctness argument);
+//   - the subtree-distance matrix stores only the diagonal band it can ever
+//     touch — |ai−bj| ≤ 2τ, from the keyroot window plus the cell band — in
+//     a skewed layout of n1·(4τ+1) int16 cells, so the per-pair sentinel
+//     init is O(n1·τ) instead of O(n1·n2);
+//   - the forest band is skew-packed with shared sentinel pad cells between
+//     adjacent rows, so out-of-band neighbour reads land on a pad instead of
+//     being branched around — the inner loop has no band tests;
+//   - cells are int16 (distances are capped at τ+1 ≤ maxViewBand+1), and the
+//     DP scratch comes from a sync.Pool, so steady-state verification
+//     allocates nothing per pair.
 //
 // The unbounded DP in zs.go remains the oracle; the property tests sweep τ
 // and require verdict-and-distance agreement with it.
@@ -24,6 +34,8 @@ package ted
 import (
 	"sync"
 	"sync/atomic"
+
+	"treejoin/internal/tree"
 )
 
 // Counters instruments the τ-banded verifier. All updates are atomic, so one
@@ -77,246 +89,6 @@ func (tc *Counters) addStrategy(dec Decomp) {
 	}
 }
 
-// scratch is the reusable DP memory of one bounded verification: the
-// subtree-distance matrix and the forest-distance matrix.
-type scratch struct {
-	td []int32
-	fd []int32
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func (s *scratch) ensure(n1, n2 int) {
-	if need := n1 * n2; cap(s.td) < need {
-		s.td = make([]int32, need)
-	} else {
-		s.td = s.td[:need]
-	}
-	if need := (n1 + 1) * (n2 + 1); cap(s.fd) < need {
-		s.fd = make([]int32, need)
-	} else {
-		s.fd = s.fd[:need]
-	}
-}
-
-// DistanceBoundedPrep reports whether TED(a, b) ≤ tau from precomputed
-// preparations: the size and label lower bounds run first (no DP at all when
-// either proves the pair distant), then the τ-banded Zhang–Shasha over the
-// cheaper decomposition. The tri-state contract: on true the returned
-// distance is exact; on false the distance is only known to exceed tau and
-// the returned value is tau+1. tc, when non-nil, accumulates the verifier's
-// pruning counters. Both trees must share one LabelTable.
-func DistanceBoundedPrep(a, b *Prep, tau int, tc *Counters) (int, bool) {
-	if a.t.Labels != b.t.Labels {
-		panic("ted: trees must share a label table")
-	}
-	if tau < 0 {
-		return tau + 1, false
-	}
-	if d := a.size - b.size; d > tau || -d > tau {
-		tc.addDPAvoided()
-		return tau + 1, false
-	}
-	if labelLowerBoundSorted(a.labels, b.labels) > tau {
-		tc.addDPAvoided()
-		return tau + 1, false
-	}
-	p1, p2 := pick(a, b)
-	s := scratchPool.Get().(*scratch)
-	d, ok := bandedZS(p1, p2, tau, s, tc)
-	scratchPool.Put(s)
-	return d, ok
-}
-
-// DistanceBoundedPrepFull is the pre-banding verifier over preparations: the
-// size lower bound followed by the full (unbanded) Zhang–Shasha DP of the
-// cheaper decomposition, compared to tau afterwards. It is the oracle the
-// banded verifier is benchmarked and property-tested against, and the
-// verifier behind the public WithUnbandedVerification ablation option.
-func DistanceBoundedPrepFull(a, b *Prep, tau int) (int, bool) {
-	if a.t.Labels != b.t.Labels {
-		panic("ted: trees must share a label table")
-	}
-	if tau < 0 {
-		return tau + 1, false
-	}
-	if d := a.size - b.size; d > tau || -d > tau {
-		return tau + 1, false
-	}
-	p1, p2 := pick(a, b)
-	d := zs(p1, p2)
-	return d, d <= tau
-}
-
-// bandedZS decides TED ≤ tau over prepared trees. It returns the exact
-// distance and true when TED ≤ tau, and (tau+1, false) otherwise.
-//
-// Correctness sketch (full argument in DESIGN.md): forest-distance values
-// never drop below the forest size difference, and values along an optimal
-// DP chain never exceed the chain's final value, so every chain realising a
-// distance ≤ τ stays within the |di−dj| ≤ τ band and reads only
-// subtree-distance entries whose own value is ≤ τ — which the band computes
-// exactly, inner keyroots before outer. Everything the band never computes
-// is held at the sentinel τ+1; a chain through a sentinel is > τ, so it can
-// neither fake a result nor disturb an exact one.
-func bandedZS(a, b *prep, tau int, s *scratch, tc *Counters) (int, bool) {
-	n1, n2 := len(a.labels), len(b.labels)
-	// All distances are ≤ n1+n2 (delete one tree, insert the other), so a
-	// larger τ adds nothing — and keeping the sentinel at τ+1 small guards
-	// the int32 arithmetic.
-	bandTau := tau
-	if bandTau > n1+n2 {
-		bandTau = n1 + n2
-	}
-	s.ensure(n1, n2)
-	td, fd := s.td, s.fd
-	over := int32(bandTau) + 1
-	for i := range td {
-		td[i] = over
-	}
-	t32 := int32(bandTau)
-	var skipped, aborts int64
-	for _, i := range a.keyroots {
-		li := a.lml[i]
-		for _, j := range b.keyroots {
-			// Positional skip: every subtree pair this DP would solve has
-			// its leftmost leaves at postorder positions li and b.lml[j];
-			// a ≤ τ mapping aligns those boundaries within τ positions, so
-			// a farther pair can contribute nothing to a ≤ τ result.
-			if d := li - b.lml[j]; d > t32 || -d > t32 {
-				skipped++
-				continue
-			}
-			if !bandedForestDP(a, b, i, j, bandTau, td, fd) {
-				aborts++
-			}
-		}
-	}
-	tc.addKeyrootsSkipped(skipped)
-	tc.addBandAborts(aborts)
-	if d := td[(n1-1)*n2+(n2-1)]; d < over {
-		return int(d), true
-	}
-	return tau + 1, false
-}
-
-// bandedForestDP is forestDP restricted to the band |di−dj| ≤ tau, writing
-// exact values ≤ tau and capping everything else at the sentinel tau+1. It
-// reports false when the row frontier exceeded tau and the DP was abandoned
-// (all unwritten subtree entries are then provably > tau and keep their
-// sentinel).
-func bandedForestDP(a, b *prep, i, j int32, tau int, td, fd []int32) bool {
-	n2 := len(b.labels)
-	w := n2 + 1
-	over := int32(tau) + 1
-	li, lj := a.lml[i], b.lml[j]
-	m, n := int(i-li)+1, int(j-lj)+1
-	// Boundary row and column, only inside the band: fd(di,0) = di, fd(0,dj) = dj.
-	fd[0] = 0
-	bm := tau
-	if bm > m {
-		bm = m
-	}
-	for di := 1; di <= bm; di++ {
-		fd[di*w] = int32(di)
-	}
-	bn := tau
-	if bn > n {
-		bn = n
-	}
-	for dj := 1; dj <= bn; dj++ {
-		fd[dj] = int32(dj)
-	}
-	for di := 1; di <= m; di++ {
-		ai := li + int32(di) - 1
-		aLml := a.lml[ai]
-		aTree := aLml == li
-		aLabel := a.labels[ai]
-		lo := di - tau
-		rowMin := over
-		if lo < 1 {
-			lo = 1
-			// Cell (di, 0) is in the band; it belongs to the frontier.
-			rowMin = int32(di)
-		}
-		hi := di + tau
-		if hi > n {
-			hi = n
-		}
-		for dj := lo; dj <= hi; dj++ {
-			bj := lj + int32(dj) - 1
-			best := over
-			if dj < di+tau { // deletion: (di−1, dj) lies in the band
-				if v := fd[(di-1)*w+dj] + 1; v < best {
-					best = v
-				}
-			}
-			if dj > di-tau { // insertion: (di, dj−1) lies in the band
-				if v := fd[di*w+dj-1] + 1; v < best {
-					best = v
-				}
-			}
-			treeCase := aTree && b.lml[bj] == lj
-			if treeCase {
-				// Both prefixes end in a full subtree whose leftmost leaf
-				// starts the forest: tree-tree case on the diagonal (always
-				// in the band).
-				cost := int32(1)
-				if aLabel == b.labels[bj] {
-					cost = 0
-				}
-				if v := fd[(di-1)*w+dj-1] + cost; v < best {
-					best = v
-				}
-			} else {
-				x := int(aLml - li)
-				y := int(b.lml[bj] - lj)
-				if d := x - y; d <= tau && -d <= tau {
-					if v := fd[x*w+y] + td[int(ai)*n2+int(bj)]; v < best {
-						best = v
-					}
-				}
-			}
-			if best > over {
-				best = over
-			}
-			fd[di*w+dj] = best
-			if treeCase && best < over {
-				td[int(ai)*n2+int(bj)] = best
-			}
-			if best < rowMin {
-				rowMin = best
-			}
-		}
-		if rowMin >= over {
-			// The whole banded frontier exceeds τ: out-of-band cells are
-			// > τ by the size argument, so every later row — and every
-			// subtree entry it would write — is > τ too.
-			return false
-		}
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------------
-// Arena-native banded kernel. Same DP as bandedZS/bandedForestDP, same values
-// cell for cell (the property tests insist on it), but over TreeView arrays
-// with band-compacted storage:
-//
-//   - the subtree-distance matrix stores only the diagonal band it can ever
-//     touch — |ai−bj| ≤ 2τ, from the keyroot window plus the cell band — in
-//     a skewed layout of n1·(4τ+1) int16 cells, so the per-pair sentinel
-//     init is O(n1·τ) instead of the O(n1·n2) that dominates small-τ runs;
-//   - the forest band is skew-packed with shared sentinel pad cells between
-//     adjacent rows, so out-of-band neighbour reads land on a pad instead of
-//     being branched around — the inner loop has no band tests;
-//   - each keyroot of one tree binary-searches the other tree's keyroots
-//     (pre-sorted by leftmost leaf in the arena) for its τ-window instead of
-//     scanning and skipping all of them;
-//   - cells are int16 (distances are capped at τ+1 ≤ maxViewBand+1), halving
-//     the scratch traffic of the int32 kernel.
-// ---------------------------------------------------------------------------
-
 // Decomp selects the decomposition the arena verifier runs: the per-pair
 // strategy-driven default, or a forced direction for ablation benchmarks and
 // the property tests.
@@ -328,11 +100,74 @@ const (
 	DecompRight               // force the right-path (mirrored) decomposition
 )
 
-// maxViewBand bounds the band half-width of the int16 arena kernel (cell
-// values reach 2·(τ+1), which must fit in int16). A pair whose clamped band
-// exceeds it — τ beyond 16000 on trees at least that large — falls back to
-// the int32 pointer kernel; no paper-scale workload comes near this.
+// chooseDecomp is the RTED-style per-pair strategy rule: run the left-path
+// decomposition iff the product of the trees' left costs does not exceed the
+// product of their right costs (the product bounds the total DP work of the
+// pair under each decomposition).
+func chooseDecomp(aCostL, aCostR, bCostL, bCostR int64) Decomp {
+	if aCostL*bCostL <= aCostR*bCostR {
+		return DecompLeft
+	}
+	return DecompRight
+}
+
+// labelBoundExceeds reports whether the label lower bound — max(|a|,|b|)
+// minus the size of the multiset intersection of the sorted label slices a
+// and b — exceeds tau, without always finishing the merge: the verdict is
+// returned as soon as the matched count reaches max(|a|,|b|)−tau (the bound
+// can no longer exceed tau) or the remaining elements cannot reach it (the
+// bound certainly does).
+func labelBoundExceeds(a, b []int32, tau int) bool {
+	m := len(a)
+	if len(b) > m {
+		m = len(b)
+	}
+	need := m - tau // matches required for the bound to stay ≤ tau
+	if need <= 0 {
+		return false
+	}
+	i, j := 0, 0
+	for {
+		ra, rb := len(a)-i, len(b)-j
+		if rb < ra {
+			ra = rb
+		}
+		if ra < need {
+			return true
+		}
+		// need ≥ 1 and min(remaining) ≥ need, so both sides are non-empty.
+		switch {
+		case a[i] == b[j]:
+			i++
+			j++
+			need--
+			if need == 0 {
+				return false
+			}
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+}
+
+// maxViewBand bounds the band half-width of the int16 kernel (cell values
+// reach 2·(τ+1), which must fit in int16). A pair whose clamped band exceeds
+// it — τ beyond 16000 on trees at least that large — is decided by
+// distanceUnbanded instead; no paper-scale workload comes near this.
 const maxViewBand = 16000
+
+// distanceUnbanded decides TED(a, b) ≤ tau with the unbounded Zhang–Shasha
+// DP (Distance) compared against tau, under the same tri-state contract as
+// DistanceBoundedView. It is the int16 kernel's fallback for bands wider
+// than maxViewBand.
+func distanceUnbanded(a, b *tree.Tree, tau int) (int, bool) {
+	if d := Distance(a, b); d <= tau {
+		return d, true
+	}
+	return tau + 1, false
+}
 
 // VerifyScratch is the reusable DP memory of the arena verifier: the
 // band-packed subtree-distance matrix and the skew-packed forest band with
@@ -422,14 +257,16 @@ func (s *VerifyScratch) ensureView(tdLen, fdLen, bt int, over int16) {
 	s.padBt, s.padLen = bt, fdLen
 }
 
-// DistanceBoundedView is DistanceBoundedPrep over arena views: size and label
-// lower bounds first, then the strategy-chosen decomposition's band-compacted
-// DP. The tri-state contract is identical — on true the distance is exact, on
-// false it is only known to exceed tau and tau+1 is returned — and so are the
-// values: the property tests require verdict-and-distance agreement with both
-// the pointer-based banded kernel and the unbounded oracle. The caller owns
-// the scratch (one per worker, from AcquireScratch), which is what makes a
-// batched verify loop allocation-free.
+// DistanceBoundedView reports whether TED(a, b) ≤ tau from arena views: the
+// size and label lower bounds run first (no DP at all when either proves the
+// pair distant), then the strategy-chosen decomposition's band-compacted DP.
+// The tri-state contract: on true the returned distance is exact; on false
+// the distance is only known to exceed tau and tau+1 is returned. The
+// property tests require verdict-and-distance agreement with the unbounded
+// oracle. tc, when non-nil, accumulates the verifier's pruning counters. The
+// caller owns the scratch (one per worker, from AcquireScratch), which is
+// what makes a batched verify loop allocation-free. Both trees must share one
+// LabelTable.
 func DistanceBoundedView(a, b *TreeView, tau int, s *VerifyScratch, tc *Counters) (int, bool) {
 	return DistanceBoundedViewDecomp(a, b, tau, DecompAuto, s, tc)
 }
@@ -460,7 +297,7 @@ func DistanceBoundedViewDecomp(a, b *TreeView, tau int, dec Decomp, s *VerifyScr
 		bt = n1 + n2
 	}
 	if bt > maxViewBand {
-		return DistanceBoundedPrep(NewPrep(a.T), NewPrep(b.T), tau, tc)
+		return distanceUnbanded(a.T, b.T, tau)
 	}
 	if dec == DecompAuto {
 		dec = chooseDecomp(a.CostL, a.CostR, b.CostL, b.CostR)
@@ -477,8 +314,8 @@ func DistanceBoundedViewDecomp(a, b *TreeView, tau int, dec Decomp, s *VerifyScr
 // require: the sub-case of pair (i, j) reads subtree entries written under
 // pairs (k1, k2) with k1 < i, or k1 = i and k2 < j (subtree intervals are
 // laminar, so an inner keyroot precedes the outer one in postorder).
-// Per outer keyroot, the τ-window of inner keyroots — the ones the pointer
-// kernel's positional skip keeps — is located by binary search in bkrByLml
+// Per outer keyroot, the τ-window of inner keyroots — the ones the positional
+// skip keeps — is located by binary search in bkrByLml
 // (the same keyroots sorted by ascending leftmost leaf), gathered, and
 // re-sorted to postorder, so the cost per outer keyroot is proportional to
 // its window, not to the inner keyroot count.
@@ -500,9 +337,9 @@ func bandedView(al, alml, akr []int32, bl, blml, bpar, bkr, bkrByLml []int32, ta
 		li := alml[i]
 		// τ-window gather: binary-search the first b-keyroot with lml ≥ li−τ
 		// in lml order, walk forward while lml ≤ li+τ. The window holds every
-		// inner keyroot the pointer kernel's positional skip would keep — on
-		// filtered workloads that is a handful out of all of them — so the
-		// skipped count is the complement in one subtraction, with no scan.
+		// inner keyroot the positional skip keeps — on filtered workloads
+		// that is a handful out of all of them — so the skipped count is the
+		// complement in one subtraction, with no scan.
 		wlo, whi := 0, nb
 		for wlo < whi {
 			mid := int(uint(wlo+whi) >> 1)

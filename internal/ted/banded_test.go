@@ -3,6 +3,7 @@ package ted
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -60,32 +61,40 @@ func mutate(rng *rand.Rand, t *tree.Tree, k, alphabet int, lt *tree.LabelTable) 
 	return out
 }
 
-// TestPrepareMirroredMatchesMirror checks the direct mirrored preparation
-// against the reference (prepare over the materialised mirror): identical
-// postorder labels, leftmost-leaf indices, and keyroots.
+// TestPrepareMirroredMatchesMirror checks the arena's right-path arrays,
+// built without materialising the mirror, against the reference (prepare
+// over the materialised mirror): identical postorder labels, leftmost-leaf
+// indices, keyroots, and parent ranks.
 func TestPrepareMirroredMatchesMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 200; iter++ {
 		lt := tree.NewLabelTable()
 		tr := randTree(rng, 24, 4, lt)
-		got := prepareMirrored(tr)
-		want := prepare(Mirror(tr))
-		if len(got.labels) != len(want.labels) {
-			t.Fatalf("size mismatch: %d vs %d", len(got.labels), len(want.labels))
+		v := BuildViews([]*tree.Tree{tr})[0]
+		m := Mirror(tr)
+		want := prepare(m)
+		if len(v.RLabels) != len(want.labels) {
+			t.Fatalf("size mismatch: %d vs %d", len(v.RLabels), len(want.labels))
 		}
-		for i := range want.labels {
-			if got.labels[i] != want.labels[i] || got.lml[i] != want.lml[i] {
+		rank := make([]int32, m.Size())
+		for i, u := range want.nodes {
+			rank[u] = int32(i)
+		}
+		for i, u := range want.nodes {
+			if v.RLabels[i] != want.labels[i] || v.Rml[i] != want.lml[i] {
 				t.Fatalf("iter %d: arrays differ at postorder %d: label %d/%d lml %d/%d",
-					iter, i, got.labels[i], want.labels[i], got.lml[i], want.lml[i])
+					iter, i, v.RLabels[i], want.labels[i], v.Rml[i], want.lml[i])
+			}
+			wantParent := int32(-1)
+			if p := m.Nodes[u].Parent; p != tree.None {
+				wantParent = rank[p]
+			}
+			if v.RParent[i] != wantParent {
+				t.Fatalf("iter %d: parent at postorder %d = %d, want %d", iter, i, v.RParent[i], wantParent)
 			}
 		}
-		if len(got.keyroots) != len(want.keyroots) {
-			t.Fatalf("keyroot count mismatch: %v vs %v", got.keyroots, want.keyroots)
-		}
-		for i := range want.keyroots {
-			if got.keyroots[i] != want.keyroots[i] {
-				t.Fatalf("keyroots differ: %v vs %v", got.keyroots, want.keyroots)
-			}
+		if !slices.Equal(v.RKeyroots, want.keyroots) {
+			t.Fatalf("keyroots differ: %v vs %v", v.RKeyroots, want.keyroots)
 		}
 	}
 }
@@ -105,20 +114,21 @@ func tauSweep(d, max int) []int {
 }
 
 // TestBandedAgreesWithOracleTauSweep is the τ-sweep property test: for
-// random tree pairs, the banded verifier must agree with the unbounded
-// Zhang–Shasha oracle on the ≤ τ verdict at every τ — including τ=0, τ
-// exactly at the true distance, and τ ≥ the maximum possible distance — and
-// report the exact distance whenever the verdict is positive. The unbanded
-// prep path (DistanceBoundedPrepFull) is held to the same contract.
+// random tree pairs, the banded verifier (through the tree-level
+// DistanceBounded) must agree with the unbounded Zhang–Shasha oracle on the
+// ≤ τ verdict at every τ — including τ<0, τ=0, τ exactly at the true
+// distance, and τ ≥ the maximum possible distance — and report the exact
+// distance whenever the verdict is positive.
 func TestBandedAgreesWithOracleTauSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	check := func(iter int, t1, t2 *tree.Tree) {
 		t.Helper()
 		want := ZhangShasha(t1, t2) // unbounded oracle
-		a, b := NewPrep(t1), NewPrep(t2)
+		if d, ok := DistanceBounded(t1, t2, -1); ok || d != 0 {
+			t.Fatalf("iter %d τ=-1: (%d,%v), want (0,false)", iter, d, ok)
+		}
 		for _, tau := range tauSweep(want, t1.Size()+t2.Size()) {
-			var tc Counters
-			got, ok := DistanceBoundedPrep(a, b, tau, &tc)
+			got, ok := DistanceBounded(t1, t2, tau)
 			if ok != (want <= tau) {
 				t.Fatalf("iter %d τ=%d: banded verdict %v, oracle distance %d", iter, tau, ok, want)
 			}
@@ -128,14 +138,6 @@ func TestBandedAgreesWithOracleTauSweep(t *testing.T) {
 			if !ok && got <= tau {
 				t.Fatalf("iter %d τ=%d: negative verdict with distance %d ≤ τ", iter, tau, got)
 			}
-			gotF, okF := DistanceBoundedPrepFull(a, b, tau)
-			if okF != ok || (ok && gotF != want) {
-				t.Fatalf("iter %d τ=%d: full path (%d,%v) disagrees with oracle (%d)", iter, tau, gotF, okF, want)
-			}
-		}
-		// The convenience tree-level wrapper takes the same path.
-		if d, ok := DistanceBounded(t1, t2, want); !ok || d != want {
-			t.Fatalf("iter %d: DistanceBounded(τ=d) = (%d,%v), want (%d,true)", iter, d, ok, want)
 		}
 	}
 	// Independent random pairs: mostly distant, exercising aborts and skips.
@@ -150,6 +152,30 @@ func TestBandedAgreesWithOracleTauSweep(t *testing.T) {
 		t1 := randTree(rng, 40, 4, lt)
 		t2 := mutate(rng, t1, rng.Intn(4), 4, lt)
 		check(1000+iter, t1, t2)
+	}
+}
+
+// TestUnbandedFallbackMatchesOracle: pairs whose band exceeds maxViewBand
+// are decided by distanceUnbanded, under the kernel's tri-state contract.
+// Reaching it through DistanceBoundedView takes two 8000-node trees, so the
+// fallback is called directly on small trees and checked against the
+// unbounded oracle across the τ sweep.
+func TestUnbandedFallbackMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 100; iter++ {
+		lt := tree.NewLabelTable()
+		t1 := randTree(rng, 20, 3, lt)
+		t2 := mutate(rng, t1, rng.Intn(5), 3, lt)
+		if iter%2 == 1 {
+			t2 = randTree(rng, 20, 3, lt)
+		}
+		want := ZhangShasha(t1, t2)
+		for _, tau := range tauSweep(want, t1.Size()+t2.Size()) {
+			d, ok := distanceUnbanded(t1, t2, tau)
+			if ok != (want <= tau) || (ok && d != want) || (!ok && d != tau+1) {
+				t.Fatalf("iter %d τ=%d: (%d,%v), oracle distance %d", iter, tau, d, ok, want)
+			}
+		}
 	}
 }
 
@@ -181,22 +207,20 @@ func TestBandedCountersFire(t *testing.T) {
 }
 
 // TestPooledScratchConcurrent hammers the pooled DP scratch from many
-// goroutines sharing the same Preps and asserts bitwise-identical results to
-// the serial run. Run under -race this is the detector test for the
-// sync.Pool reuse and the lazy Prep materialisation.
+// goroutines verifying the same trees through DistanceBounded and asserts
+// bitwise-identical results to the serial run. Run under -race this is the
+// detector test for the sync.Pool reuse.
 func TestPooledScratchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lt := tree.NewLabelTable()
 	const nTrees = 14
 	trees := make([]*tree.Tree, nTrees)
-	preps := make([]*Prep, nTrees)
 	for i := range trees {
 		if i%2 == 1 {
 			trees[i] = mutate(rng, trees[i-1], 1+rng.Intn(3), 3, lt)
 		} else {
 			trees[i] = randTree(rng, 22, 3, lt)
 		}
-		preps[i] = NewPrep(trees[i])
 	}
 	type key struct{ i, j, tau int }
 	serial := make(map[key]string)
@@ -204,7 +228,7 @@ func TestPooledScratchConcurrent(t *testing.T) {
 	for i := 0; i < nTrees; i++ {
 		for j := i + 1; j < nTrees; j++ {
 			for _, tau := range taus {
-				d, ok := DistanceBoundedPrep(NewPrep(trees[i]), NewPrep(trees[j]), tau, nil)
+				d, ok := DistanceBounded(trees[i], trees[j], tau)
 				serial[key{i, j, tau}] = fmt.Sprint(d, ok)
 			}
 		}
@@ -216,7 +240,6 @@ func TestPooledScratchConcurrent(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			var tc Counters
 			for n := 0; n < 400; n++ {
 				i, j := r.Intn(nTrees), r.Intn(nTrees)
 				if i == j {
@@ -226,7 +249,7 @@ func TestPooledScratchConcurrent(t *testing.T) {
 					i, j = j, i
 				}
 				tau := taus[r.Intn(len(taus))]
-				d, ok := DistanceBoundedPrep(preps[i], preps[j], tau, &tc)
+				d, ok := DistanceBounded(trees[i], trees[j], tau)
 				if got := fmt.Sprint(d, ok); got != serial[key{i, j, tau}] {
 					select {
 					case errs <- fmt.Sprintf("pair (%d,%d) τ=%d: concurrent %s, serial %s", i, j, tau, got, serial[key{i, j, tau}]):

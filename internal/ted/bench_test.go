@@ -77,79 +77,28 @@ func BenchmarkDistanceBounded(b *testing.B) {
 	}
 }
 
-// verifyWorkload builds the verification benchmark's candidate stream: a
+// arenaWorkload builds the verification benchmark's candidate stream: a
 // clustered collection (near-duplicates plus cross-cluster pairs — the mix a
-// subgraph or signature filter hands the verifier) with preparations built
-// once, as a warm corpus join would have them, and every unordered pair as a
-// candidate.
-func verifyWorkload() ([]*ted.Prep, [][2]int) {
+// subgraph or signature filter hands the verifier) flattened into arena
+// views once, the way a warm engine join holds them, and every unordered
+// pair as a candidate.
+func arenaWorkload() ([]*ted.TreeView, [][2]int) {
 	ts := synth.Generate(synth.Params{
 		N: 24, AvgSize: 56, MaxFanout: 4, MaxDepth: 10, Labels: 16,
 		DepthBias: 0.1, Cluster: 4, Decay: 0.04, Seed: 17,
 	})
-	preps := make([]*ted.Prep, len(ts))
-	for i, t := range ts {
-		preps[i] = ted.NewPrep(t)
-	}
 	var pairs [][2]int
 	for i := range ts {
 		for j := i + 1; j < len(ts); j++ {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	return preps, pairs
-}
-
-// BenchmarkVerifyFull is the pre-banding verifier (size lower bound + full
-// Zhang–Shasha DP) over the candidate stream: the baseline the τ-banded
-// verifier is measured against in BENCH_verify.json.
-func BenchmarkVerifyFull(b *testing.B) {
-	preps, pairs := verifyWorkload()
-	for _, tau := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, p := range pairs {
-					ted.DistanceBoundedPrepFull(preps[p[0]], preps[p[1]], tau)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVerifyBanded is the threshold-aware verifier (lower bounds,
-// keyroot skipping, τ-banded DP with early termination, pooled scratch) over
-// the same candidate stream. Allocations per op should stay near zero.
-func BenchmarkVerifyBanded(b *testing.B) {
-	preps, pairs := verifyWorkload()
-	for _, tau := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
-			b.ReportAllocs()
-			var tc ted.Counters
-			for i := 0; i < b.N; i++ {
-				for _, p := range pairs {
-					ted.DistanceBoundedPrep(preps[p[0]], preps[p[1]], tau, &tc)
-				}
-			}
-		})
-	}
-}
-
-// arenaWorkload is verifyWorkload flattened into arena views: the same trees
-// and candidate pairs, prepared the way a warm engine join holds them.
-func arenaWorkload() ([]*ted.TreeView, [][2]int) {
-	preps, pairs := verifyWorkload()
-	ts := make([]*tree.Tree, len(preps))
-	for i, p := range preps {
-		ts[i] = p.Tree()
-	}
 	return ted.BuildViews(ts), pairs
 }
 
 // BenchmarkVerifyArena is the strategy-driven arena verifier (struct-of-arrays
-// views, band-compacted int16 DP, per-batch scratch) over the identical
-// candidate stream as BenchmarkVerifyFull/Banded — the ≥3× acceptance gate of
-// BENCH_verify.json compares it to BenchmarkVerifyBanded at each τ.
+// views, band-compacted int16 DP, per-batch scratch) over the candidate
+// stream at each τ.
 func BenchmarkVerifyArena(b *testing.B) {
 	views, pairs := arenaWorkload()
 	for _, tau := range []int{1, 2, 4, 8} {

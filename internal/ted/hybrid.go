@@ -82,12 +82,14 @@ func LabelLowerBound(t1, t2 *tree.Tree) int {
 }
 
 // DistanceBounded reports whether TED(t1, t2) ≤ tau, returning the exact
-// distance when it is and tau+1 otherwise. The size and label lower bounds
-// are applied before any DP, and the DP itself is the τ-banded Zhang–Shasha
-// of banded.go — worst-case cost shrinks from cubic to O(n·τ) per keyroot
-// pair, and hopeless pairs abort as soon as a band row proves them > τ. This
-// is the verifier behind every join method in this module; engine-driven
-// joins call DistanceBoundedPrep directly with cached preparations.
+// distance when it is and tau+1 otherwise. It flattens both trees into
+// arena views and runs DistanceBoundedView — the verifier behind every join
+// method in this module; callers deciding many pairs over the same trees
+// keep the views (engine.ViewFor caches them per corpus) and call
+// DistanceBoundedView directly.
 func DistanceBounded(t1, t2 *tree.Tree, tau int) (int, bool) {
-	return DistanceBoundedPrep(NewPrep(t1), NewPrep(t2), tau, nil)
+	vs := BuildViews([]*tree.Tree{t1, t2})
+	s := AcquireScratch()
+	defer ReleaseScratch(s)
+	return DistanceBoundedView(vs[0], vs[1], tau, s, nil)
 }

@@ -1,218 +1,19 @@
 package ted
 
-import (
-	"sort"
-	"sync"
+import "treejoin/internal/tree"
 
-	"treejoin/internal/tree"
-)
+// Prep is the per-tree verifier preparation under its pre-arena name: the
+// arena view. Kept for the perfbench module, which compiles against it.
+type Prep = TreeView
 
-// Prep bundles every per-tree precomputation the bounded verifier consumes:
-// the Zhang–Shasha arrays of the left- and right-path decompositions (built
-// lazily — a tree that always falls on the cheap side of the RTED-style
-// strategy choice never pays for the other variant), the strategy costs that
-// drive that choice, and the sorted label multiset behind the label lower
-// bound. A Prep is safe for concurrent use once constructed (the lazy fields
-// materialise under sync.Once), so one Prep per tree can be shared by every
-// verify worker of every join; the engine caches them in the corpus artifact
-// cache under the "ted/prep" key so warm joins never re-run prepare.
-type Prep struct {
-	t      *tree.Tree
-	size   int
-	costL  int64   // strategy cost of the left-path decomposition
-	costR  int64   // strategy cost of the right-path decomposition
-	labels []int32 // node labels sorted ascending, for the label lower bound
+// NewPrep builds the single-tree arena view of t. Kept for the perfbench
+// module.
+func NewPrep(t *tree.Tree) *Prep { return BuildViews([]*tree.Tree{t})[0] }
 
-	leftOnce  sync.Once
-	left      *prep
-	rightOnce sync.Once
-	right     *prep
-}
-
-// NewPrep computes the verifier preparation of t: strategy costs and the
-// sorted label multiset eagerly, the two decomposition array sets lazily.
-func NewPrep(t *tree.Tree) *Prep {
-	l, r := strategyCost(t)
-	p := &Prep{t: t, size: t.Size(), costL: l, costR: r}
-	p.labels = make([]int32, len(t.Nodes))
-	for i := range t.Nodes {
-		p.labels[i] = t.Nodes[i].Label
-	}
-	sort.Slice(p.labels, func(a, b int) bool { return p.labels[a] < p.labels[b] })
-	return p
-}
-
-// Tree returns the tree this preparation describes.
-func (p *Prep) Tree() *tree.Tree { return p.t }
-
-// Size returns the tree's node count.
-func (p *Prep) Size() int { return p.size }
-
-func (p *Prep) leftPrep() *prep {
-	p.leftOnce.Do(func() { p.left = prepare(p.t) })
-	return p.left
-}
-
-func (p *Prep) rightPrep() *prep {
-	p.rightOnce.Do(func() { p.right = prepareMirrored(p.t) })
-	return p.right
-}
-
-// chooseDecomp is the RTED-style per-pair strategy rule shared by pick and
-// the arena verifier: run the left-path decomposition iff the product of the
-// trees' left costs does not exceed the product of their right costs (the
-// product bounds the total DP work of the pair under each decomposition).
-func chooseDecomp(aCostL, aCostR, bCostL, bCostR int64) Decomp {
-	if aCostL*bCostL <= aCostR*bCostR {
-		return DecompLeft
-	}
-	return DecompRight
-}
-
-// pick returns the Zhang–Shasha array pair of the cheaper decomposition for
-// the pair (a, b), mirroring Distance's RTED-style whole-tree strategy
-// choice.
-func pick(a, b *Prep) (*prep, *prep) {
-	if chooseDecomp(a.costL, a.costR, b.costL, b.costR) == DecompLeft {
-		return a.leftPrep(), b.leftPrep()
-	}
-	return a.rightPrep(), b.rightPrep()
-}
-
-// labelLowerBoundSorted is LabelLowerBound over pre-sorted label multisets:
-// max(|a|, |b|) minus the size of their multiset intersection, computed by a
-// linear merge with no allocation.
-func labelLowerBoundSorted(a, b []int32) int {
-	common, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			common++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	m := len(a)
-	if len(b) > m {
-		m = len(b)
-	}
-	return m - common
-}
-
-// labelBoundExceeds reports labelLowerBoundSorted(a, b) > tau without always
-// finishing the merge: the verdict is returned as soon as the matched count
-// reaches max(|a|,|b|)−tau (the bound can no longer exceed tau) or the
-// remaining elements cannot reach it (the bound certainly does). Both
-// verifier kernels use it in place of the full merge, so their pruning
-// decisions stay identical.
-func labelBoundExceeds(a, b []int32, tau int) bool {
-	m := len(a)
-	if len(b) > m {
-		m = len(b)
-	}
-	need := m - tau // matches required for the bound to stay ≤ tau
-	if need <= 0 {
-		return false
-	}
-	i, j := 0, 0
-	for {
-		ra, rb := len(a)-i, len(b)-j
-		if rb < ra {
-			ra = rb
-		}
-		if ra < need {
-			return true
-		}
-		// need ≥ 1 and min(remaining) ≥ need, so both sides are non-empty.
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-			need--
-			if need == 0 {
-				return false
-			}
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-}
-
-// prepareMirrored computes the Zhang–Shasha arrays of Mirror(t) without
-// materialising the mirrored tree: postorder visits children right-to-left,
-// and the mirrored leftmost leaf is the original rightmost leaf (the last
-// child chain). Labels, lml, and keyroots are identical to
-// prepare(Mirror(t)); only the node-id column refers to t's own ids.
-func prepareMirrored(t *tree.Tree) *prep {
-	n := t.Size()
-	// Invert the FirstChild/NextSibling links so the traversal can walk
-	// children right-to-left without per-node allocation.
-	last := make([]int32, n)
-	prev := make([]int32, n)
-	for id := range t.Nodes {
-		var p int32 = tree.None
-		for c := t.Nodes[id].FirstChild; c != tree.None; c = t.Nodes[c].NextSibling {
-			prev[c] = p
-			p = c
-		}
-		last[id] = p
-	}
-	post := make([]int32, 0, n)
-	type frame struct{ node, child int32 }
-	stack := make([]frame, 0, 16)
-	root := t.Root()
-	stack = append(stack, frame{root, last[root]})
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.child == tree.None {
-			post = append(post, top.node)
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		c := top.child
-		top.child = prev[c]
-		stack = append(stack, frame{c, last[c]})
-	}
-	return finishPrep(t, post, func(u int32) int32 {
-		for last[u] != tree.None {
-			u = last[u]
-		}
-		return u
-	})
-}
-
-// finishPrep fills a prep from a postorder sequence and the decomposition's
-// leaf function (leftmost leaf for the left-path arrays, rightmost for the
-// mirrored ones).
-func finishPrep(t *tree.Tree, post []int32, leaf func(int32) int32) *prep {
-	n := len(post)
-	rank := make([]int32, n)
-	for i, v := range post {
-		rank[v] = int32(i)
-	}
-	p := &prep{labels: make([]int32, n), lml: make([]int32, n), nodes: post}
-	for i, v := range post {
-		p.labels[i] = t.Nodes[v].Label
-		p.lml[i] = rank[leaf(v)]
-	}
-	// A node is a keyroot iff no node with a larger postorder index shares
-	// its leftmost leaf (i.e. it has a left sibling, or it is the root).
-	seen := make([]bool, n)
-	for i := n - 1; i >= 0; i-- {
-		if !seen[p.lml[i]] {
-			seen[p.lml[i]] = true
-			p.keyroots = append(p.keyroots, int32(i))
-		}
-	}
-	// Collected in descending order above; reverse to ascending.
-	for l, r := 0, len(p.keyroots)-1; l < r; l, r = l+1, r-1 {
-		p.keyroots[l], p.keyroots[r] = p.keyroots[r], p.keyroots[l]
-	}
-	return p
+// DistanceBoundedPrep is DistanceBoundedView with a pooled scratch buffer.
+// Kept for the perfbench module.
+func DistanceBoundedPrep(a, b *Prep, tau int, tc *Counters) (int, bool) {
+	s := AcquireScratch()
+	defer ReleaseScratch(s)
+	return DistanceBoundedView(a, b, tau, s, tc)
 }

@@ -4,12 +4,16 @@
 // The package provides the Zhang–Shasha algorithm (the [29] component of
 // RTED), its right-path variant obtained by mirroring both trees, and
 // Distance, an RTED-style hybrid that picks the cheaper of the two
-// decompositions from the trees' shapes. Distance is what the similarity-join
-// verifiers use, mirroring the paper's use of RTED: all algorithms return the
-// exact same distance value; the strategy choice only affects runtime.
+// decompositions from the trees' shapes: all algorithms return the exact
+// same distance value; the strategy choice only affects runtime. The
+// similarity joins verify candidates with the τ-banded form of the same DP
+// over arena views (banded.go, arena.go), with these unbounded algorithms
+// as its oracle.
 package ted
 
 import (
+	"slices"
+
 	"treejoin/internal/tree"
 )
 
@@ -23,12 +27,33 @@ type prep struct {
 
 // prepare computes the Zhang–Shasha arrays for t.
 func prepare(t *tree.Tree) *prep {
-	return finishPrep(t, tree.Postorder(t), func(u int32) int32 {
-		for t.Nodes[u].FirstChild != tree.None {
-			u = t.Nodes[u].FirstChild
+	post := tree.Postorder(t)
+	n := len(post)
+	rank := make([]int32, n)
+	for i, v := range post {
+		rank[v] = int32(i)
+	}
+	p := &prep{labels: make([]int32, n), lml: make([]int32, n), nodes: post}
+	for i, v := range post {
+		p.labels[i] = t.Nodes[v].Label
+		leaf := v
+		for t.Nodes[leaf].FirstChild != tree.None {
+			leaf = t.Nodes[leaf].FirstChild
 		}
-		return u
-	})
+		p.lml[i] = rank[leaf]
+	}
+	// A node is a keyroot iff no node with a larger postorder index shares
+	// its leftmost leaf (i.e. it has a left sibling, or it is the root).
+	seen := make([]bool, n)
+	for i := n - 1; i >= 0; i-- {
+		if !seen[p.lml[i]] {
+			seen[p.lml[i]] = true
+			p.keyroots = append(p.keyroots, int32(i))
+		}
+	}
+	// Collected in descending order above; reverse to ascending.
+	slices.Reverse(p.keyroots)
+	return p
 }
 
 // ZhangShasha returns TED(t1, t2) using the classic left-path decomposition:

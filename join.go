@@ -125,9 +125,6 @@ type config struct {
 	shards     int
 	position   core.PositionFilter
 	randPart   bool
-	hybrid     bool
-	unbanded   bool
-	sortedLoop bool
 	fixedPlan  bool
 	planSpecs  []PlanSpec
 	seed       int64
@@ -150,12 +147,12 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 
 // WithWorkers runs the join on n parallel goroutines: TED verification for
 // every method, plus candidate generation wherever the source decomposes —
-// the sorted nested loop (WithSortedLoop, MethodBruteForce) shards its probe
-// loop freely, and PartSJ parallelises its partitioning pre-pass (its index
-// probing parallelises only under WithShards). The signature methods'
-// default token-index source generates candidates in one sequential task
-// (the inverted index is shared state); their parallelism is in the
-// verification stage. Unset (or any n < 1) uses one worker per available
+// the sorted nested loop (MethodBruteForce, or a PlanSourceSortedLoop fixed
+// plan) shards its probe loop freely, and PartSJ parallelises its
+// partitioning pre-pass (its index probing parallelises only under
+// WithShards). The signature methods' default token-index source
+// generates candidates in one sequential task (the inverted index is shared
+// state); their parallelism is in the verification stage. Unset (or any n < 1) uses one worker per available
 // core — runtime.GOMAXPROCS(0); pass 1 explicitly for a sequential run.
 // Stats.CandTime sums the tasks' own clocks (CPU effort); Stats.CandWall
 // reports the stage's wall time.
@@ -201,42 +198,6 @@ func WithoutPositionFilter() Option {
 func WithRandomPartitions(seed int64) Option {
 	return func(c *config) { c.randPart = true; c.seed = seed }
 }
-
-// WithHybridVerification screens PartSJ's candidate pairs with the τ-banded
-// traversal-string lower bounds before computing the exact TED. Results are
-// identical; verification is typically much faster when the collection
-// contains many just-over-threshold near-duplicates. An extension beyond the
-// paper (whose PRT verifies with RTED directly); applies to SelfJoin and
-// Join with MethodPartSJ.
-func WithHybridVerification() Option {
-	return func(c *config) { c.hybrid = true }
-}
-
-// WithUnbandedVerification makes candidate verification run the classic
-// full Zhang–Shasha DP on every pair that passes the size lower bound,
-// instead of the default threshold-aware verifier (τ-banded DP with keyroot
-// skipping and early termination; see DESIGN.md, "Threshold-aware
-// verification"). Results are identical — this is the ablation/baseline
-// knob behind the verify benchmarks, and the verifier counters in Stats
-// (DPAvoided, KeyrootsSkipped, BandAborts) stay zero under it. It replaces
-// the whole verification stage, so combining it with
-// WithHybridVerification also disables the hybrid string screens.
-func WithUnbandedVerification() Option {
-	return func(c *config) { c.unbanded = true }
-}
-
-// WithSortedLoop forces candidate generation back to the O(n²) sorted
-// nested loop for the signature methods (STR, SET, HIST, EUL, PQG), which by
-// default generate candidates through the token inverted-index source —
-// frequency-ordered prefix postings probed with count-threshold skipping, so
-// only pairs whose shared-token count could satisfy the method's lower bound
-// are ever screened (see DESIGN.md, "Index-accelerated candidate
-// generation"). Results are identical either way; this is the ablation
-// escape hatch, and the regime where the loop genuinely wins (tiny corpora,
-// thresholds at the largest tree's size) already falls back automatically —
-// Stats.Source reports which source ran. No effect on MethodPartSJ and
-// MethodBruteForce, which never use the token index.
-func WithSortedLoop() Option { return func(c *config) { c.sortedLoop = true } }
 
 // WithStats asks the call to write its execution statistics into dst when it
 // finishes. The slice-returning Corpus calls return Stats directly; this
@@ -303,7 +264,6 @@ func (c config) coreOptions(tau int) core.Options {
 		Tau:             tau,
 		Position:        c.position,
 		RandomPartition: c.randPart,
-		HybridVerify:    c.hybrid,
 		Seed:            c.seed,
 		Workers:         c.workers,
 	}
@@ -342,8 +302,8 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	// q-grams for the string/gram class, label-histogram entries for the
 	// histogram/branch class. The source offers a subset of the sorted
 	// loop's pairs and every offered pair still runs the same filter chain,
-	// so results are identical; WithSortedLoop restores the loop for
-	// ablation.
+	// so results are identical; a PlanSourceSortedLoop fixed plan restores
+	// the loop for ablation.
 	var tz engine.Tokenizer
 	switch c.method {
 	case MethodPartSJ:
@@ -358,7 +318,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 				filters = chainStages(spec.Chain)
 			}
 		}
-		return c.applyVerifier(c.coreOptions(tau).Job(c.shards, filters)), nil, nil
+		return c.coreOptions(tau).Job(c.shards, filters), nil, nil
 	case MethodSTR:
 		filters = append(filters, baseline.STRFilter())
 		tz = pqgram.Tokenizer(0)
@@ -377,7 +337,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	case MethodBruteForce:
 		// Size window only — no lower bound to index on; always the loop.
 	}
-	useIndex := tz != nil && !c.sortedLoop
+	useIndex := tz != nil
 	prefixC := 0
 	if hasSpec {
 		if spec.Chain != nil {
@@ -387,9 +347,6 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 		case PlanSourceTokenIndex:
 			if tz == nil {
 				return engine.Job{}, nil, fmt.Errorf("%w: %v has no token-index source", ErrOptionConflict, c.method)
-			}
-			if c.sortedLoop {
-				return engine.Job{}, nil, fmt.Errorf("%w: WithSortedLoop pins the loop; the plan asks for the token index", ErrOptionConflict)
 			}
 		case PlanSourceSortedLoop:
 			useIndex = false
@@ -413,7 +370,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 		PrefixC: prefixC,
 	}
 	job.Plan = fixedPlanRecord(job, tz)
-	return c.applyVerifier(job), tz, nil
+	return job, tz, nil
 }
 
 // chainStages maps a fixed-plan chain to engine filters, in order.
@@ -448,17 +405,6 @@ func fixedPlanRecord(job engine.Job, tz engine.Tokenizer) sim.PlanRecord {
 		}
 	}
 	return rec
-}
-
-// applyVerifier applies the verification-stage options to an assembled job:
-// WithUnbandedVerification swaps in the full-DP verifier, replacing any
-// method-installed hook (including the hybrid screen).
-func (c config) applyVerifier(job engine.Job) engine.Job {
-	if c.unbanded {
-		job.Verifier = nil
-		job.VerifierFor = engine.FullTEDVerifier
-	}
-	return job
 }
 
 // job is jobChecked for the legacy free functions, which panic on invalid

@@ -55,38 +55,6 @@ func TestUnknownMethodString(t *testing.T) {
 	}
 }
 
-func TestHybridAndWorkersComposable(t *testing.T) {
-	ts := synth.Synthetic(60, 51)
-	ref, _ := treejoin.SelfJoin(ts, 2)
-	got, _ := treejoin.SelfJoin(ts, 2,
-		treejoin.WithHybridVerification(), treejoin.WithWorkers(4))
-	if len(got) != len(ref) {
-		t.Fatalf("composed options changed results: %d vs %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("pair %d differs", i)
-		}
-	}
-}
-
-func TestIncrementalHybrid(t *testing.T) {
-	ts := synth.Synthetic(50, 53)
-	plain := treejoin.NewIncremental(2)
-	hybrid := treejoin.NewIncremental(2, treejoin.WithHybridVerification())
-	var nPlain, nHybrid int
-	for _, tr := range ts {
-		nPlain += len(plain.Add(tr))
-		nHybrid += len(hybrid.Add(tr))
-	}
-	if nPlain != nHybrid {
-		t.Fatalf("hybrid incremental differs: %d vs %d", nPlain, nHybrid)
-	}
-	if plain.Tree(0) != ts[0] {
-		t.Fatal("Tree accessor wrong")
-	}
-}
-
 func TestMeasureExported(t *testing.T) {
 	ts := synth.Synthetic(30, 3)
 	s := treejoin.Measure(ts)

@@ -37,9 +37,6 @@ func TestFixedPlanConflicts(t *testing.T) {
 	wantConflict("prefix multiplier without the index",
 		treejoin.WithMethod(treejoin.MethodPQGram),
 		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop, PrefixC: 8}))
-	wantConflict("index plan against WithSortedLoop",
-		treejoin.WithMethod(treejoin.MethodPQGram), treejoin.WithSortedLoop(),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex}))
 	wantConflict("unknown source value",
 		treejoin.WithMethod(treejoin.MethodPQGram),
 		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSource(99)}))

@@ -27,6 +27,9 @@ func indexCorpus(gen func(n int, seed int64) []*tree.Tree, n int, seed int64) []
 	return ts
 }
 
+// sortedLoop pins the O(n²) sorted nested loop, the token index's oracle.
+var sortedLoop = treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop})
+
 // TestTokenIndexOracleSweep: for every signature method, the default
 // token-index candidate generation returns exactly the sorted loop's result
 // set — self and cross joins, τ from exact matching up through 8 — and its
@@ -48,16 +51,16 @@ func TestTokenIndexOracleSweep(t *testing.T) {
 				label := fmt.Sprintf("%s/%v/τ=%d", p.name, m, tau)
 				var ist, lst treejoin.Stats
 				got, ist := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
-				want, lst := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), treejoin.WithSortedLoop())
+				want, lst := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), sortedLoop)
 				samePairs(t, "self/"+label, got, want)
 				if ist.Candidates > lst.Candidates {
 					t.Fatalf("self/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
 				}
 				if lst.Source != "sorted-loop" {
-					t.Fatalf("%s: WithSortedLoop ran source %q", label, lst.Source)
+					t.Fatalf("%s: sorted-loop plan ran source %q", label, lst.Source)
 				}
 				got, ist = treejoin.Join(a, b, tau, treejoin.WithMethod(m))
-				want, lst = treejoin.Join(a, b, tau, treejoin.WithMethod(m), treejoin.WithSortedLoop())
+				want, lst = treejoin.Join(a, b, tau, treejoin.WithMethod(m), sortedLoop)
 				samePairs(t, "cross/"+label, got, want)
 				if ist.Candidates > lst.Candidates {
 					t.Fatalf("cross/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
@@ -153,7 +156,7 @@ func TestCandWall(t *testing.T) {
 	ts := synth.Synthetic(64, 21)
 	for _, opts := range [][]treejoin.Option{
 		{treejoin.WithMethod(treejoin.MethodSTR)},
-		{treejoin.WithMethod(treejoin.MethodSTR), treejoin.WithSortedLoop(), treejoin.WithWorkers(4)},
+		{treejoin.WithMethod(treejoin.MethodSTR), sortedLoop, treejoin.WithWorkers(4)},
 	} {
 		_, st := treejoin.SelfJoin(ts, 2, opts...)
 		if st.CandWall <= 0 {

@@ -149,5 +149,5 @@ func Distance(a, b *Tree) int { return ted.Distance(a, b) }
 // distance is exact, otherwise it is some value greater than tau. The
 // computation is threshold-aware throughout: size and label lower bounds
 // short-circuit it entirely, and the DP itself is τ-banded with early
-// termination (see DESIGN.md, "Threshold-aware verification").
+// termination (see DESIGN.md, "Verification: one τ-banded kernel").
 func DistanceWithin(a, b *Tree, tau int) (int, bool) { return ted.DistanceBounded(a, b, tau) }

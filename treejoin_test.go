@@ -102,6 +102,9 @@ func TestPublicIncremental(t *testing.T) {
 	if inc.Len() != len(ts) {
 		t.Fatalf("Len = %d", inc.Len())
 	}
+	if inc.Tree(0) != ts[0] {
+		t.Fatal("Tree accessor wrong")
+	}
 	if inc.Stats().Results != 1 {
 		t.Fatalf("stats results = %d", inc.Stats().Results)
 	}
