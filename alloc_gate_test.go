@@ -49,3 +49,37 @@ func TestWarmJoinAllocationGate(t *testing.T) {
 			allocs, st.Candidates, budget)
 	}
 }
+
+// TestWarmKNNAllocationGate: a warm in-cluster Corpus.KNN allocates the same
+// number of times over 500 trees as over 2000 — the per-query bound and
+// order buffers come from a pool and the label histograms are built once per
+// searcher, so nothing on the query path is sized by the collection.
+// Sequential workers keep the count deterministic. Under the race detector
+// the pools refill at random, so the counts may differ by the few
+// allocations of a refill — still far below one per tree.
+func TestWarmKNNAllocationGate(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(n int) float64 {
+		ts := synth.Synthetic(n, 1)
+		cp := mustCorpus(t, ts)
+		q := ts[0]
+		ms, err := cp.KNN(ctx, q, 3, treejoin.WithWorkers(1))
+		if err != nil || len(ms) != 3 || ms[0].Dist != 0 {
+			t.Fatalf("n=%d: warm-up KNN %v, %v", n, ms, err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := cp.KNN(ctx, q, 3, treejoin.WithWorkers(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(2000)
+	slack := 0.0
+	if raceEnabled {
+		slack = 10
+	}
+	if large > small+slack || small > large+slack {
+		t.Fatalf("warm KNN allocated %.0f times over 500 trees but %.0f over 2000: the query path allocates per tree", small, large)
+	}
+	t.Logf("warm in-cluster KNN: %.0f allocations", small)
+}

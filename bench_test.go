@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"treejoin"
@@ -190,16 +192,63 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkKNN — nearest-neighbour queries against a warm searcher (indexes
-// cached per visited threshold).
+// BenchmarkKNN — warm Corpus.KNN over synth.Synthetic(2000, 1). near: k=3
+// for corpus members, whose 3 nearest lie in their own cluster of 4. far:
+// k=5 for one isolated member, picked by brute force like perfbench's
+// knn_far query (size within 3 of the median, 5th neighbour at TED 70..86),
+// which verifies most of the corpus.
 func BenchmarkKNN(b *testing.B) {
-	ts := synth.Synthetic(200, 1)
-	knn := core.NewKNN(ts, core.Options{})
-	knn.Nearest(ts[0], 5) // warm the index cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		knn.Nearest(ts[i%len(ts)], 5)
+	ctx := context.Background()
+	ts := synth.Synthetic(2000, 1)
+	cp, err := treejoin.NewCorpus(ts)
+	if err != nil {
+		b.Fatal(err)
 	}
+	run := func(b *testing.B, k int, query func(i int) *tree.Tree) {
+		if _, err := cp.KNN(ctx, query(0), k); err != nil { // warm the views
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cp.KNN(ctx, query(i), k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("near", func(b *testing.B) {
+		run(b, 3, func(i int) *tree.Tree { return ts[(i*7919)%len(ts)] })
+	})
+	b.Run("far", func(b *testing.B) {
+		q := farKNNQuery(b, ts, 1)
+		run(b, 5, func(int) *tree.Tree { return q })
+	})
+}
+
+// farKNNQuery returns the first corpus member, in a seeded order, whose size
+// lies within 3 of the median and whose 5th-nearest neighbour (itself
+// included) lies at exact TED 70..86.
+func farKNNQuery(b *testing.B, ts []*tree.Tree, seed int64) *tree.Tree {
+	sizes := make([]int, len(ts))
+	for i, t := range ts {
+		sizes[i] = t.Size()
+	}
+	slices.Sort(sizes)
+	med := sizes[len(sizes)/2]
+	dists := make([]int, len(ts))
+	for _, q := range rand.New(rand.NewSource(seed ^ 0x5eed)).Perm(len(ts)) {
+		if d := ts[q].Size() - med; d < -3 || d > 3 {
+			continue
+		}
+		for i, t := range ts {
+			dists[i] = ted.Distance(ts[q], t)
+		}
+		slices.Sort(dists)
+		if d := dists[4]; d >= 70 && d <= 86 {
+			return ts[q]
+		}
+	}
+	b.Fatal("no isolated query in the corpus")
+	return nil
 }
 
 // BenchmarkDatasetCodec — binary dataset encode/decode throughput versus

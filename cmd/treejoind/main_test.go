@@ -57,6 +57,28 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return sb.String()
 }
 
+// TestKNNExtremeK: /knn clamps k before sizing anything by it — a negative,
+// zero, or enormous k answers 200 with at most the corpus's tree count.
+func TestKNNExtremeK(t *testing.T) {
+	_, hs := testServer(t, 2, 8, 5*time.Second)
+	for _, k := range []int{-1, 0, 1 << 62} {
+		resp, body := post(t, hs, "/knn", fmt.Sprintf(`{"query":"{l0{l1}}","k":%d}`, k))
+		if resp.StatusCode != 200 {
+			t.Fatalf("k=%d: status %d: %s", k, resp.StatusCode, body)
+		}
+		var knn struct {
+			Matches []wireMatch `json:"matches"`
+		}
+		if err := json.Unmarshal([]byte(body), &knn); err != nil {
+			t.Fatalf("k=%d: response %q: %v", k, body, err)
+		}
+		want := min(max(k, 0), 30)
+		if len(knn.Matches) != want {
+			t.Fatalf("k=%d: %d matches, want %d", k, len(knn.Matches), want)
+		}
+	}
+}
+
 func TestServeEndpoints(t *testing.T) {
 	_, hs := testServer(t, 3, 8, 5*time.Second)
 

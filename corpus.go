@@ -92,11 +92,11 @@ type dynEntry struct {
 // query, whatever its threshold or method. A second SelfJoin at a different
 // τ recomputes no per-tree signature and re-runs no prepare; only the
 // τ-dependent pair predicates and candidate enumeration run again. Search
-// and KNN queries additionally share a small LRU of per-threshold PartSJ
-// indexes (see WithIndexCacheCap). Removing trees evicts their artifacts,
-// so the cache's memory tracks the live collection; beyond that it never
-// evicts — its size is bounded by the filter kinds and PartSJ thresholds
-// actually queried (see DESIGN.md, "The corpus artifact cache").
+// queries additionally share a small LRU of per-threshold PartSJ indexes
+// (see WithIndexCacheCap); KNN builds none. Removing trees evicts their
+// artifacts, so the cache's memory tracks the live collection; beyond that
+// it never evicts — its size is bounded by the filter kinds and PartSJ
+// thresholds actually queried (see DESIGN.md, "The corpus artifact cache").
 //
 // Mutations are epoch-versioned with copy-on-write snapshots: Add and
 // Remove build a new immutable state and swap it in, so every query — and
@@ -183,8 +183,8 @@ func (cp *Corpus) runCache() *engine.Cache {
 }
 
 // searcherKey identifies one index configuration of the per-corpus search
-// machinery: queries differing only in threshold share a searcher (and its
-// per-threshold index LRU).
+// machinery: queries differing only in threshold share a searcher (its
+// per-threshold Search index LRU and its KNN histograms).
 type searcherKey struct {
 	pos core.PositionFilter
 }
@@ -725,19 +725,20 @@ func (cp *Corpus) TopK(ctx context.Context, k int, opts ...Option) ([]Pair, erro
 }
 
 // KNN returns the k corpus trees closest to q by TED, ordered by
-// (Dist, Pos), with no threshold required. It searches per-threshold indexes
-// at expanding thresholds, sharing Search's index LRU, so a query workload
-// settles into reusing a handful of them. Fewer than k matches are returned
-// only when the corpus holds fewer than k trees. KNN always runs on the
-// PartSJ index; WithMethod, WithPrefilter, and WithShards conflict with
-// it.
+// (Dist, Pos), with no threshold required. It builds no index: one pass
+// over the corpus's cached arena views verifies the trees in order of a
+// label lower bound, at the current k-th distance, on WithWorkers
+// goroutines, and stops at the first bound above it (see DESIGN.md,
+// "Bound-ordered k-NN"). Fewer than k matches are returned only when the
+// corpus holds fewer than k trees. WithMethod, WithPrefilter, and
+// WithShards conflict with it.
 func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Match, error) {
 	st := cp.state.Load()
 	c, err := cp.queryConfig(st, q, "KNN", opts)
 	if err != nil {
 		return nil, err
 	}
-	return cp.searcher(st, c).NearestCtx(ctx, q, k)
+	return core.NearestAcross(ctx, []core.KNNPart{{KNN: cp.searcher(st, c)}}, q, k, c.workers)
 }
 
 // Incremental returns an empty streaming join with threshold tau that shares
@@ -793,11 +794,12 @@ func (c config) requirePartSJ(op string, allowShards bool) error {
 	return nil
 }
 
-// searcher returns the index machinery for c's index configuration over the
-// st membership, creating it on first use. The searcher cache is pinned to
+// searcher returns the query machinery for c's index configuration over the
+// st membership — Search's per-threshold index LRU and KNN's label
+// histograms — creating it on first use. The searcher cache is pinned to
 // one epoch: the first query after a mutation rotates it, dropping every
-// per-threshold index built over the old membership (the eviction-on-epoch
-// contract — a stale index can never serve a post-Remove query). A query
+// index and histogram built over the old membership (the eviction-on-epoch
+// contract — stale state can never serve a post-Remove query). A query
 // still running against an older state builds a one-off searcher for its
 // snapshot instead of polluting the cache.
 func (cp *Corpus) searcher(st *corpusState, c config) *core.KNN {
@@ -805,7 +807,7 @@ func (cp *Corpus) searcher(st *corpusState, c config) *core.KNN {
 	if capacity < 1 {
 		capacity = core.DefaultIndexCacheCap
 	}
-	o := c.coreOptions(1) // Tau here only seeds KNN's expanding search
+	o := c.coreOptions(0) // IndexAt sets each index's threshold
 	key := searcherKey{pos: c.position}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()

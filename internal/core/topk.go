@@ -13,13 +13,14 @@ import (
 // Threshold-free queries (an extension beyond the paper): the similarity
 // join and search take a TED threshold τ, but two common workloads do not
 // know one up front — "find the k most similar pairs in the collection" and
-// "find the k nearest neighbours of this query". Both reduce to the
-// thresholded forms by an expanding-threshold search: a run at threshold τ
-// is complete for distances ≤ τ, so as soon as it produces k hits the k
-// best of them are the global answer (anything unseen is farther than τ,
-// hence farther than the k-th hit). Thresholds grow geometrically, so the
-// total work is dominated by the last round — the round a clairvoyant
-// caller with the right τ would have paid for anyway.
+// "find the k nearest neighbours of this query". KNN is a bound-ordered scan
+// with no per-threshold state (knn.go). TopK reduces to the thresholded join
+// by an expanding-threshold search: a run at threshold τ is complete for
+// distances ≤ τ, so as soon as it produces k hits the k best of them are the
+// global answer (anything unseen is farther than τ, hence farther than the
+// k-th hit). Thresholds grow geometrically, so the total work is dominated
+// by the last round — the round a clairvoyant caller with the right τ would
+// have paid for anyway.
 
 // TopK returns the k closest pairs of the collection by TED, ties broken by
 // (Dist, I, J). It runs PartSJ self-joins at geometrically increasing
@@ -111,14 +112,12 @@ func sortByDist(ps []sim.Pair) {
 }
 
 // DefaultIndexCacheCap is the default bound on the per-threshold index cache
-// behind KNN (and a corpus's Search): one full PartSJ index is retained per
-// cached threshold, so the cap trades rebuild time against memory. The
-// expanding-threshold search visits geometrically spaced thresholds — at
-// most ⌊log₂(tauCap)⌋+2 of them per query, where tauCap = max tree size +
-// query size — so the default covers a full worst-case sweep for
-// tree-plus-query sizes up to ~16K nodes. A smaller cap makes a sweep
-// longer than the cap cycle the LRU (each query rebuilding every index),
-// which is the caveat to weigh when lowering it via WithIndexCacheCap.
+// behind a corpus's Search (IndexAt): one full PartSJ index is retained per
+// cached threshold, so the cap trades rebuild time against memory. KNN
+// builds no index and never touches the cache. A search workload that
+// cycles through more distinct thresholds than the cap rebuilds an index on
+// every query, which is the caveat to weigh when lowering it via
+// WithIndexCacheCap.
 const DefaultIndexCacheCap = 16
 
 // indexLRU is a small least-recently-used cache of per-threshold search
@@ -181,22 +180,25 @@ func (l *indexLRU) touch(tau int) {
 	}
 }
 
-// KNN answers k-nearest-neighbour queries over a fixed collection. Each
-// distinct threshold the expanding search visits builds one Index; a small
-// LRU keeps the most recently used of them (an unbounded cache would retain
-// one full PartSJ index per threshold ever visited), so a query workload
-// settles into reusing a handful. Nearest is safe for concurrent use.
+// KNN answers k-nearest-neighbour queries over a fixed collection by the
+// bound-ordered scan of NearestAcross: the collection's arena views and
+// label histograms are resolved once, on the first query, and every query
+// is one verification pass over them. KNN also hosts the per-threshold
+// Search indexes of a corpus (IndexAt), a small LRU that KNN queries
+// themselves never use. Nearest and IndexAt are safe for concurrent use.
 type KNN struct {
 	ts        []*tree.Tree
 	opts      Options
-	tauCap    int
 	cache     *indexLRU
 	artifacts *engine.Cache
+
+	treesOnce sync.Once
+	trees     *knnTrees
 }
 
-// NewKNN prepares a k-NN searcher over ts. opts.Tau sets the first threshold
-// tried (minimum 1); the remaining options configure the underlying indexes
-// and verifier as in NewIndex. It panics on invalid options — the legacy
+// NewKNN prepares a k-NN searcher over ts. opts.Verifier and opts.Workers
+// configure the verification pass; the remaining options configure the
+// IndexAt indexes as in NewIndex. It panics on invalid options — the legacy
 // contract; corpus-backed callers use NewKNNCached.
 func NewKNN(ts []*tree.Tree, opts Options) *KNN {
 	if err := opts.validate(); err != nil {
@@ -209,13 +211,14 @@ func NewKNN(ts []*tree.Tree, opts Options) *KNN {
 // locally) and bounding the per-threshold index cache at capacity (≥ 1;
 // values below 1 are raised to 1). Options must be valid.
 func NewKNNCached(ts []*tree.Tree, opts Options, cache *engine.Cache, capacity int) *KNN {
-	var max1 int
-	for _, t := range ts {
-		if s := t.Size(); s > max1 {
-			max1 = s
-		}
-	}
-	return &KNN{ts: ts, opts: opts, tauCap: max1, cache: newIndexLRU(capacity), artifacts: cache}
+	return &KNN{ts: ts, opts: opts, cache: newIndexLRU(capacity), artifacts: cache}
+}
+
+// knnTrees returns the collection's bound-ordering state, building it on
+// first use.
+func (x *KNN) knnTrees() *knnTrees {
+	x.treesOnce.Do(func() { x.trees = newKNNTrees(x.ts, x.artifacts) })
+	return x.trees
 }
 
 // Len returns the collection size.
@@ -262,45 +265,8 @@ func (x *KNN) Nearest(q *tree.Tree, k int) []Match {
 	return ms
 }
 
-// NearestCtx is Nearest under a context: cancellation aborts the expanding
-// search promptly and returns ctx's error with nil matches.
+// NearestCtx is Nearest under a context: cancellation stops the
+// verification pass promptly and returns ctx's error with nil matches.
 func (x *KNN) NearestCtx(ctx context.Context, q *tree.Tree, k int) ([]Match, error) {
-	if k <= 0 || len(x.ts) == 0 {
-		return nil, ctx.Err()
-	}
-	if k > len(x.ts) {
-		k = len(x.ts)
-	}
-	tauCap := x.tauCap + q.Size()
-	tau := x.opts.Tau
-	if tau < 1 {
-		tau = 1
-	}
-	for {
-		// Check before each round: IndexAt may pay a full (uncancellable)
-		// index build, so don't start one the caller no longer wants.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ms, err := x.IndexAt(tau).SearchCtx(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		if len(ms) >= k || tau >= tauCap {
-			sort.Slice(ms, func(a, b int) bool {
-				if ms[a].Dist != ms[b].Dist {
-					return ms[a].Dist < ms[b].Dist
-				}
-				return ms[a].Pos < ms[b].Pos
-			})
-			if len(ms) > k {
-				ms = ms[:k]
-			}
-			return ms, nil
-		}
-		tau *= 2
-		if tau > tauCap {
-			tau = tauCap
-		}
-	}
+	return NearestAcross(ctx, []KNNPart{{KNN: x}}, q, k, x.opts.Workers)
 }

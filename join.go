@@ -207,12 +207,11 @@ func WithRandomPartitions(seed int64) Option {
 func WithStats(dst *Stats) Option { return func(c *config) { c.statsDst = dst } }
 
 // WithIndexCacheCap bounds the per-threshold search-index cache behind a
-// Corpus's Search and KNN queries (and the standalone KNN searcher) at n
-// indexes, evicting the least recently used; n < 1 selects the default
-// (which covers a full KNN expanding sweep for trees up to ~4K nodes). Each
-// cached entry is a full PartSJ index over the collection, so the cap
-// trades rebuild time against memory — but a cap smaller than a query's
-// sweep makes the sweep cycle the LRU, rebuilding every index per query.
+// Corpus's Search queries at n indexes, evicting the least recently used;
+// n < 1 selects the default (16 thresholds). Each cached entry is a full
+// PartSJ index over the collection, so the cap trades rebuild time against
+// memory — a search workload cycling through more thresholds than the cap
+// rebuilds an index per query. KNN builds no index and ignores it.
 func WithIndexCacheCap(n int) Option { return func(c *config) { c.indexCap = n } }
 
 func buildConfig(opts []Option) config {

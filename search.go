@@ -60,10 +60,9 @@ func TopK(ts []*Tree, k int, opts ...Option) []Pair {
 
 // KNN answers k-nearest-neighbour queries over a fixed collection: Nearest
 // returns the k collection trees closest to a query by TED, with no distance
-// threshold required. Internally it searches PartSJ indexes at expanding
-// thresholds, keeping the most recently used of them in a small LRU
-// (WithIndexCacheCap), so a query workload settles into reusing a handful.
-// Nearest is safe for concurrent use.
+// threshold required. Internally it makes one bound-ordered verification
+// pass over the collection (see Corpus.KNN) and builds no index. Nearest is
+// safe for concurrent use.
 type KNN struct {
 	inner *core.KNN
 }
@@ -71,15 +70,11 @@ type KNN struct {
 // NewKNN prepares a k-NN searcher over ts. All trees (and later queries)
 // must share one LabelTable.
 //
-// Deprecated: use Corpus.KNN, which shares the corpus's signature cache and
-// per-threshold index LRU with every other query.
+// Deprecated: use Corpus.KNN, which shares the corpus's signature cache
+// (the arena views this searcher builds for itself) with every other query.
 func NewKNN(ts []*Tree, opts ...Option) *KNN {
 	c := buildConfig(opts)
-	capacity := c.indexCap
-	if capacity < 1 {
-		capacity = core.DefaultIndexCacheCap
-	}
-	return &KNN{inner: core.NewKNNCached(ts, c.coreOptions(0), nil, capacity)}
+	return &KNN{inner: core.NewKNNCached(ts, c.coreOptions(0), nil, 1)}
 }
 
 // Nearest returns the k collection trees closest to q, ordered by

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"treejoin/internal/core"
 	"treejoin/internal/sim"
 )
 
@@ -78,7 +79,8 @@ type shardedState struct {
 // a corpus over it partitioned across n shards. Global ids are assigned
 // 0..len(ts)-1 in order, exactly as NewCorpus would, and tree i lives on
 // shard i mod n. Options are corpus-level and apply to every shard
-// (currently WithIndexCacheCap).
+// (currently WithIndexCacheCap, which bounds each shard's Search index LRU;
+// KNN builds no index).
 func NewSharded(n int, ts []*Tree, opts ...Option) (*ShardedCorpus, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrShardCount, n)
@@ -457,10 +459,10 @@ type ShardedView struct {
 }
 
 // Len, Epoch, Tree, ID, and PosOf read the pinned state.
-func (v *ShardedView) Len() int      { return len(v.st.trees) }
-func (v *ShardedView) Epoch() int64  { return v.st.epoch }
+func (v *ShardedView) Len() int         { return len(v.st.trees) }
+func (v *ShardedView) Epoch() int64     { return v.st.epoch }
 func (v *ShardedView) Tree(i int) *Tree { return v.st.trees[i] }
-func (v *ShardedView) ID(i int) int  { return v.st.ids[i] }
+func (v *ShardedView) ID(i int) int     { return v.st.ids[i] }
 func (v *ShardedView) PosOf(id int) (int, bool) {
 	p, ok := v.st.pos[id]
 	return p, ok
@@ -844,13 +846,11 @@ func sortByDist(ps []Pair) {
 }
 
 // KNN returns the k view trees closest to q by TED, ordered by (Dist, Pos)
-// with global positions — identical to a single Corpus's KNN. The expanding
-// search runs globally: every shard answers a Search at the same growing τ,
-// and the loop stops as soon as k matches exist across the union. Keeping the
-// τ progression global matters: a per-shard k-nearest fan-out would force
-// shards that hold no close neighbour of q to expand all the way to the size
-// cap, paying an index build per threshold for matches the merge then
-// discards.
+// with global positions — identical to a single Corpus's KNN. It runs one
+// bound-ordered pass over every shard's trees at once (see Corpus.KNN), so
+// all shards verify against the same k-th distance: a shard that holds no
+// close neighbour of q stops as soon as the global k-th distance falls
+// below its bounds, instead of searching for k neighbours of its own.
 func (v *ShardedView) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Match, error) {
 	c := buildConfig(opts)
 	if q == nil {
@@ -863,45 +863,9 @@ func (v *ShardedView) KNN(ctx context.Context, q *Tree, k int, opts ...Option) (
 	if err := c.requirePartSJ("KNN", false); err != nil {
 		return nil, err
 	}
-	if k <= 0 || len(st.trees) == 0 {
-		return nil, ctx.Err()
+	parts := make([]core.KNNPart, len(st.views))
+	for s, view := range st.views {
+		parts[s] = core.KNNPart{KNN: view.searcher(view.state.Load(), c), ToGlobal: st.toGlobal[s]}
 	}
-	if k > len(st.trees) {
-		k = len(st.trees)
-	}
-	max1 := 0
-	for _, t := range st.trees {
-		if s := t.Size(); s > max1 {
-			max1 = s
-		}
-	}
-	tauCap := max1 + q.Size()
-	tau := 1
-	for {
-		// Check before each round: the per-shard index builds are
-		// uncancellable, so don't start a round the caller no longer wants.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ms, err := v.Search(ctx, q, tau, opts...)
-		if err != nil {
-			return nil, err
-		}
-		if len(ms) >= k || tau >= tauCap {
-			sort.Slice(ms, func(a, b int) bool {
-				if ms[a].Dist != ms[b].Dist {
-					return ms[a].Dist < ms[b].Dist
-				}
-				return ms[a].Pos < ms[b].Pos
-			})
-			if len(ms) > k {
-				ms = ms[:k]
-			}
-			return ms, nil
-		}
-		tau *= 2
-		if tau > tauCap {
-			tau = tauCap
-		}
-	}
+	return core.NearestAcross(ctx, parts, q, k, c.workers)
 }

@@ -6,10 +6,12 @@
 package treejoin_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,12 +126,26 @@ func TestShardedJoinOracle(t *testing.T) {
 }
 
 // TestShardedSearchTopKKNNOracle: the index-backed and threshold-free
-// queries, swept over shard counts.
+// queries, swept over shard counts. An isolated KNN query — its 5th
+// neighbour lies outside its cluster of 4, at TED > 40 — is also checked
+// against a brute-force exact-TED ranking with (Dist, Pos) ties.
 func TestShardedSearchTopKKNNOracle(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(48, 3)
 	cp := mustCorpus(t, ts)
 	q := ts[5]
+	far := ts[21]
+	farWant := make([]treejoin.Match, len(ts))
+	for i, c := range ts {
+		farWant[i] = treejoin.Match{Pos: i, Dist: treejoin.Distance(c, far)}
+	}
+	slices.SortFunc(farWant, func(a, b treejoin.Match) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
+	})
+	farWant = farWant[:5]
+	if farWant[4].Dist <= 40 {
+		t.Fatalf("fixture: isolated query's 5th neighbour at TED %d, want > 40", farWant[4].Dist)
+	}
 	for _, n := range shardCounts {
 		sc := mustSharded(t, n, ts)
 		for _, tau := range []int{0, 2, 5} {
@@ -164,6 +180,11 @@ func TestShardedSearchTopKKNNOracle(t *testing.T) {
 			}
 			matchesEqual(t, fmt.Sprintf("knn shards=%d k=%d", n, k), gotM, wantM)
 		}
+		gotFar, err := sc.KNN(ctx, far, 5)
+		if err != nil {
+			t.Fatalf("isolated knn shards=%d: %v", n, err)
+		}
+		matchesEqual(t, fmt.Sprintf("isolated knn shards=%d", n), gotFar, farWant)
 	}
 }
 
