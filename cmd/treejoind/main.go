@@ -1,10 +1,13 @@
-// Command treejoind serves a sharded treejoin corpus over HTTP/JSON: the
-// paper's similarity join and the corpus's search/topk/knn queries behind a
-// small endpoint set, with per-query deadlines, a bounded in-flight
-// admission gate, snapshot-isolated reads (every request pins one
-// multi-shard epoch), and streaming NDJSON for the join results. With -store
-// the corpus is durable: mutations write through a segment store that
-// survives restarts.
+// Command treejoind serves one treejoin Corpus over HTTP/JSON: the paper's
+// similarity join and the corpus's search/topk/knn queries behind a small
+// endpoint set, with per-query deadlines, a bounded in-flight admission
+// gate, snapshot-isolated reads, and streaming NDJSON for the join results.
+// Reads run on a Corpus.Snapshot pinned per mutation epoch: /add and
+// /remove publish the new epoch's snapshot before they reply, so a write is
+// visible to every request sent after its reply, and the snapshot's search
+// indexes and k-NN histograms stay warm across the reads of one epoch. With
+// -store the corpus is durable: mutations write through a segment store
+// that survives restarts.
 //
 // Endpoints:
 //
@@ -37,6 +40,7 @@ import (
 	"os/signal"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -47,7 +51,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8765", "listen address")
-		shards    = flag.Int("shards", 4, "shard count for the corpus")
 		input     = flag.String("input", "", "dataset to load at boot (bracket/newick/binary)")
 		format    = flag.String("format", "auto", "input format: bracket, newick, binary, auto")
 		store     = flag.String("store", "", "persistent store directory (durable corpus)")
@@ -58,11 +61,11 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, lt, err := bootCorpus(*store, *input, *format, *shards)
+	cp, lt, err := bootCorpus(*store, *input, *format)
 	if err != nil {
 		log.Fatalf("treejoind: %v", err)
 	}
-	srv := newServer(sc, lt, *workers, *inflight, *deadline)
+	srv := newServer(cp, lt, *workers, *inflight, *deadline)
 	srv.logRequests = *verbosity
 
 	hs := &http.Server{Addr: *addr, Handler: srv.routes()}
@@ -70,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("treejoind: listen: %v", err)
 	}
-	log.Printf("treejoind: serving %d trees on %d shards at %s", sc.Len(), sc.NumShards(), ln.Addr())
+	log.Printf("treejoind: serving %d trees at %s", cp.Len(), ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -87,37 +90,37 @@ func main() {
 	case err := <-errCh:
 		log.Fatalf("treejoind: serve: %v", err)
 	}
-	if err := sc.Close(); err != nil {
+	if err := cp.Close(); err != nil {
 		log.Fatalf("treejoind: closing store: %v", err)
 	}
 }
 
-// bootCorpus assembles the sharded corpus the server fronts: persistent when
+// bootCorpus assembles the corpus the server fronts: persistent when
 // storeDir is set (reloading whatever the store holds, then appending the
 // input dataset if one is given and the store is empty), in-memory over the
 // input dataset otherwise.
-func bootCorpus(storeDir, input, format string, shards int) (*treejoin.ShardedCorpus, *treejoin.LabelTable, error) {
+func bootCorpus(storeDir, input, format string) (*treejoin.Corpus, *treejoin.LabelTable, error) {
 	if storeDir != "" {
-		sc, err := treejoin.OpenSharded(storeDir, shards)
+		cp, err := treejoin.Open(storeDir)
 		if err != nil {
 			return nil, nil, err
 		}
-		lt := sc.Labels()
+		lt := cp.Labels()
 		if lt == nil {
 			lt = treejoin.NewLabelTable()
 		}
-		if input != "" && sc.Len() == 0 {
+		if input != "" && cp.Len() == 0 {
 			ts, _, err := cli.Load(input, format, lt)
 			if err != nil {
-				sc.Close()
+				cp.Close()
 				return nil, nil, err
 			}
-			if _, err := sc.Add(ts...); err != nil {
-				sc.Close()
+			if _, err := cp.Add(ts...); err != nil {
+				cp.Close()
 				return nil, nil, err
 			}
 		}
-		return sc, lt, nil
+		return cp, lt, nil
 	}
 	var ts []*treejoin.Tree
 	lt := treejoin.NewLabelTable()
@@ -128,18 +131,24 @@ func bootCorpus(storeDir, input, format string, shards int) (*treejoin.ShardedCo
 			return nil, nil, err
 		}
 	}
-	sc, err := treejoin.NewSharded(shards, ts)
+	cp, err := treejoin.NewCorpus(ts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sc, lt, nil
+	return cp, lt, nil
 }
 
-// server is the handler state: the corpus, the single label table every
-// parse must intern into (LabelTable mutation is not thread-safe, so parses
-// serialise on parseMu), the admission semaphore, and the query defaults.
+// server is the handler state: the corpus and its published read snapshot,
+// the single label table every parse must intern into (LabelTable mutation
+// is not thread-safe, so parses serialise on parseMu), the admission
+// semaphore, and the query defaults.
 type server struct {
-	sc          *treejoin.ShardedCorpus
+	cp *treejoin.Corpus
+	// snap is the frozen view of cp's current epoch that every read pins.
+	// Writers hold writeMu across the mutation and the republish, so the
+	// published snapshot never moves back to an older epoch.
+	snap        atomic.Pointer[treejoin.Corpus]
+	writeMu     sync.Mutex
 	lt          *treejoin.LabelTable
 	parseMu     sync.Mutex
 	sem         chan struct{}
@@ -148,19 +157,32 @@ type server struct {
 	logRequests bool
 }
 
-func newServer(sc *treejoin.ShardedCorpus, lt *treejoin.LabelTable, workers, inflight int, deadline time.Duration) *server {
+func newServer(cp *treejoin.Corpus, lt *treejoin.LabelTable, workers, inflight int, deadline time.Duration) *server {
 	if inflight < 1 {
 		inflight = 1
 	}
 	if deadline <= 0 {
 		deadline = 10 * time.Second
 	}
-	return &server{
-		sc:       sc,
+	s := &server{
+		cp:       cp,
 		lt:       lt,
 		sem:      make(chan struct{}, inflight),
 		deadline: deadline,
 		workers:  workers,
+	}
+	s.snap.Store(cp.Snapshot())
+	return s
+}
+
+// write runs a mutation of the corpus and publishes the snapshot of the
+// epoch it produced, before the handler replies.
+func (s *server) write(mutate func(cp *treejoin.Corpus)) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	mutate(s.cp)
+	if s.cp.Epoch() != s.snap.Load().Epoch() {
+		s.snap.Store(s.cp.Snapshot())
 	}
 }
 
@@ -325,28 +347,27 @@ func summarize(st treejoin.Stats) wireSummary {
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
-		"trees":  s.sc.Len(),
-		"epoch":  s.sc.Epoch(),
-		"shards": s.sc.NumShards(),
-		"cache":  s.sc.CacheStats(),
+		"trees": s.cp.Len(),
+		"epoch": s.cp.Epoch(),
+		"cache": s.cp.CacheStats(),
 	}
-	if st, ok := s.sc.StoreStats(); ok {
+	if st, ok := s.cp.StoreStats(); ok {
 		resp["store"] = st
 	}
 	writeJSON(w, resp)
 }
 
 // handleSelfJoin streams the join: one NDJSON line per result pair as the
-// rounds verify them, then a summary line with the rolled-up statistics. The
-// stream runs on a pinned view, so a concurrent /add or /remove never tears
-// the result.
+// pipeline verifies them, then a summary line with the run's statistics.
+// The stream runs on the pinned snapshot, so a concurrent /add or /remove
+// never tears the result.
 func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	tau, err := strconv.Atoi(r.URL.Query().Get("tau"))
 	if err != nil {
 		writeErr(w, fmt.Errorf("%w: bad tau: %v", errBadRequest, err))
 		return
 	}
-	v := s.sc.View()
+	v := s.snap.Load()
 	var stats treejoin.Stats
 	seq, err := v.SelfJoinSeq(r.Context(), tau, s.queryOpts(&stats)...)
 	if err != nil {
@@ -391,7 +412,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.snap.Load()
 	pairs, stats, err := v.Join(r.Context(), other, req.Tau, s.queryOpts(nil)...)
 	if err != nil {
 		writeErr(w, err)
@@ -419,7 +440,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.snap.Load()
 	ms, err := v.Search(r.Context(), qs[0], req.Tau)
 	if err != nil {
 		writeErr(w, err)
@@ -440,7 +461,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.snap.Load()
 	pairs, err := v.TopK(r.Context(), req.K)
 	if err != nil {
 		writeErr(w, err)
@@ -467,7 +488,7 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.snap.Load()
 	ms, err := v.KNN(r.Context(), qs[0], req.K)
 	if err != nil {
 		writeErr(w, err)
@@ -497,7 +518,8 @@ func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	ids, err := s.sc.Add(ts...)
+	var ids []int
+	s.write(func(cp *treejoin.Corpus) { ids, err = cp.Add(ts...) })
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -513,5 +535,7 @@ func (s *server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, map[string]int{"removed": s.sc.Remove(req.IDs...)})
+	var n int
+	s.write(func(cp *treejoin.Corpus) { n = cp.Remove(req.IDs...) })
+	writeJSON(w, map[string]int{"removed": n})
 }

@@ -16,14 +16,13 @@ import (
 	"treejoin/internal/synth"
 )
 
-func testServer(t *testing.T, n int, inflight int, deadline time.Duration) (*server, *httptest.Server) {
+func testServer(t *testing.T, inflight int, deadline time.Duration) (*server, *httptest.Server) {
 	t.Helper()
-	ts := synth.Synthetic(30, 17)
-	sc, err := treejoin.NewSharded(n, ts)
+	cp, err := treejoin.NewCorpus(synth.Synthetic(30, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(sc, sc.Labels(), 0, inflight, deadline)
+	srv := newServer(cp, cp.Labels(), 0, inflight, deadline)
 	hs := httptest.NewServer(srv.routes())
 	t.Cleanup(hs.Close)
 	return srv, hs
@@ -60,7 +59,7 @@ func readAll(t *testing.T, resp *http.Response) string {
 // TestKNNExtremeK: /knn clamps k before sizing anything by it — a negative,
 // zero, or enormous k answers 200 with at most the corpus's tree count.
 func TestKNNExtremeK(t *testing.T) {
-	_, hs := testServer(t, 2, 8, 5*time.Second)
+	_, hs := testServer(t, 8, 5*time.Second)
 	for _, k := range []int{-1, 0, 1 << 62} {
 		resp, body := post(t, hs, "/knn", fmt.Sprintf(`{"query":"{l0{l1}}","k":%d}`, k))
 		if resp.StatusCode != 200 {
@@ -80,7 +79,7 @@ func TestKNNExtremeK(t *testing.T) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	_, hs := testServer(t, 3, 8, 5*time.Second)
+	_, hs := testServer(t, 8, 5*time.Second)
 
 	resp, err := http.Get(hs.URL + "/healthz")
 	if err != nil || resp.StatusCode != 200 {
@@ -169,22 +168,21 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("stats: %v %v", resp7, err)
 	}
 	var stats struct {
-		Trees  int `json:"trees"`
-		Shards int `json:"shards"`
+		Trees int `json:"trees"`
 	}
 	if err := json.NewDecoder(resp7.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	resp7.Body.Close()
-	if stats.Trees != 31 || stats.Shards != 3 {
-		t.Fatalf("stats = %+v, want 31 trees on 3 shards", stats)
+	if stats.Trees != 31 {
+		t.Fatalf("stats = %+v, want 31 trees", stats)
 	}
 }
 
 // TestServeMalformed: every malformed request the wire can carry answers
 // 4xx — no panic, no 5xx. This is the no-network-reachable-panic contract.
 func TestServeMalformed(t *testing.T) {
-	_, hs := testServer(t, 2, 8, 5*time.Second)
+	_, hs := testServer(t, 8, 5*time.Second)
 	cases := []struct {
 		name, path, body string
 	}{
@@ -229,7 +227,7 @@ func TestServeMalformed(t *testing.T) {
 
 // TestServeDeadline: a request whose deadline cannot be met answers 504.
 func TestServeDeadline(t *testing.T) {
-	_, hs := testServer(t, 2, 8, time.Nanosecond)
+	_, hs := testServer(t, 8, time.Nanosecond)
 	resp, body := post(t, hs, "/topk", `{"k":5}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline: status %d body %q, want 504", resp.StatusCode, body)
@@ -239,7 +237,7 @@ func TestServeDeadline(t *testing.T) {
 // TestServeAdmission: when every in-flight slot is held, the next request
 // answers 429 instead of queueing.
 func TestServeAdmission(t *testing.T) {
-	srv, hs := testServer(t, 2, 1, 5*time.Second)
+	srv, hs := testServer(t, 1, 5*time.Second)
 	srv.sem <- struct{}{} // occupy the only slot
 	defer func() { <-srv.sem }()
 	resp, body := post(t, hs, "/topk", `{"k":1}`)

@@ -527,40 +527,25 @@ func (cp *Corpus) dynTokens(st *corpusState) func(engine.Tokenizer) *engine.Toke
 // error.
 func (cp *Corpus) SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair, Stats, error) {
 	c := buildConfig(opts)
-	var pairs []Pair
-	stats, err := cp.streamSelfWith(ctx, tau, c, func(p Pair) bool {
-		pairs = append(pairs, p)
-		return true
-	})
-	if stats == nil {
-		return nil, Stats{}, err
-	}
-	sim.SortPairs(pairs)
-	c.publishStats(stats)
-	return pairs, *stats, err
-}
-
-// streamSelfWith is the configured core of SelfJoin: it pins the corpus
-// state, plans, and streams every verified pair to sink. It returns a nil
-// Stats exactly when validation rejected the query before anything ran.
-// Besides SelfJoin it is the per-shard round the sharded fan-out runs — the
-// sharded layer passes a config with statsDst stripped, so concurrent rounds
-// never race on a caller's WithStats destination, and rolls the returned
-// per-round Stats up itself.
-func (cp *Corpus) streamSelfWith(ctx context.Context, tau int, c config, sink sim.EmitFunc) (*sim.Stats, error) {
 	job, tz, err := c.pipelineChecked(tau)
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 	st := cp.state.Load()
 	job.Cache = cp.runCache()
 	job.DynTokens = cp.dynTokens(st)
 	job, _ = cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
-	stats, err := job.StreamSelf(ctx, st.ts, sink)
+	var pairs []Pair
+	stats, err := job.StreamSelf(ctx, st.ts, func(p Pair) bool {
+		pairs = append(pairs, p)
+		return true
+	})
 	if err == nil {
 		cp.observeRun(stats, st.ts, -1, tau, st.epoch)
 	}
-	return stats, err
+	sim.SortPairs(pairs)
+	c.publishStats(stats)
+	return pairs, *stats, err
 }
 
 // SelfJoinSeq is the streaming SelfJoin: it returns a sequence that runs the
@@ -600,32 +585,21 @@ func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (ite
 // against the same partner warm up too.
 func (cp *Corpus) Join(ctx context.Context, other *Corpus, tau int, opts ...Option) ([]Pair, Stats, error) {
 	c := buildConfig(opts)
+	run, err := cp.crossJob(ctx, c, other, tau)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	var pairs []Pair
-	st, err := cp.streamJoinWith(ctx, other, tau, c, func(p Pair) bool {
+	st, err := run.job.StreamJoin(ctx, run.a, run.b, func(p Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})
-	if st == nil {
-		return nil, Stats{}, err
+	if err == nil {
+		cp.observeRun(st, run.comb, len(run.a), tau, run.epoch)
 	}
 	sim.SortPairs(pairs)
 	c.publishStats(st)
 	return pairs, *st, err
-}
-
-// streamJoinWith is the configured core of Join, with streamSelfWith's
-// contract (nil Stats iff validation failed); the sharded fan-out's
-// cross-shard rounds run on it.
-func (cp *Corpus) streamJoinWith(ctx context.Context, other *Corpus, tau int, c config, sink sim.EmitFunc) (*sim.Stats, error) {
-	run, err := cp.crossJob(ctx, c, other, tau)
-	if err != nil {
-		return nil, err
-	}
-	st, err := run.job.StreamJoin(ctx, run.a, run.b, sink)
-	if err == nil {
-		cp.observeRun(st, run.comb, len(run.a), tau, run.epoch)
-	}
-	return st, err
 }
 
 // JoinSeq is the streaming Join, with SelfJoinSeq's contract.
@@ -738,7 +712,7 @@ func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Ma
 	if err != nil {
 		return nil, err
 	}
-	return core.NearestAcross(ctx, []core.KNNPart{{KNN: cp.searcher(st, c)}}, q, k, c.workers)
+	return core.NearestAcross(ctx, cp.searcher(st, c), q, k, c.workers)
 }
 
 // Incremental returns an empty streaming join with threshold tau that shares

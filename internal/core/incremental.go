@@ -34,6 +34,7 @@ type Incremental struct {
 	views   []*ted.TreeView // arena views for the default verifier; nil with a custom one
 	ix      *invIndex
 	smalls  []int
+	maxSize int // the largest tree added so far; Add clamps τ by it
 	checked []int32
 	gen     int32
 	sc      matchScratch
@@ -121,6 +122,10 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	sz := t.Size()
 	gen := inc.gen
 	inc.gen++
+	// The new tree pairs only with earlier trees, none further than
+	// sz+maxSize from it (see sim.TauCap).
+	tau := min(inc.opts.Tau, sz+inc.maxSize)
+	inc.maxSize = max(inc.maxSize, sz)
 
 	var cands []sim.Candidate
 	for _, other := range inc.smalls {
@@ -131,18 +136,19 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 		if d < 0 {
 			d = -d
 		}
-		if d <= inc.opts.Tau && inc.checked[other] != gen {
+		if d <= tau && inc.checked[other] != gen {
 			inc.checked[other] = gen
 			cands = append(cands, sim.Candidate{I: other, J: ti})
 			inc.stats.SmallTreeFallback++
 		}
 	}
-	minSize := sz - inc.opts.Tau
+	minSize := sz - tau
 	if minSize < 1 {
 		minSize = 1
 	}
+	sizes := inc.ix.window(minSize, sz+tau)
 	for _, n := range b.Order {
-		inc.stats.SubgraphProbes += inc.ix.probe(b, n, minSize, sz+inc.opts.Tau, func(e entry) {
+		inc.stats.SubgraphProbes += inc.ix.probe(b, n, sizes, func(e entry) {
 			if inc.removed[e.tree] || inc.checked[e.tree] == gen {
 				return
 			}
@@ -161,7 +167,7 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 		verifiers = sim.AdaptVerifier(inc.ts, inc.opts.Verifier)
 	}
 	var pairs []sim.Pair
-	sim.VerifyStreamBatched(context.Background(), cands, inc.opts.Tau, verifiers, sim.NormalizeWorkers(inc.opts.Workers), &inc.stats, func(p sim.Pair) bool {
+	sim.VerifyStreamBatched(context.Background(), cands, tau, verifiers, sim.NormalizeWorkers(inc.opts.Workers), &inc.stats, func(p sim.Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})

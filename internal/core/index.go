@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"treejoin/internal/lcrs"
@@ -129,6 +130,7 @@ type invIndex struct {
 	tau    int
 	mode   PositionFilter
 	bySize map[int]*sizeIndex
+	sizes  []int // the keys of bySize, ascending
 }
 
 func newInvIndex(tau int, mode PositionFilter) *invIndex {
@@ -183,6 +185,7 @@ func (ix *invIndex) insert(treeIdx int, p *Partition) int64 {
 	if si == nil {
 		si = &sizeIndex{}
 		ix.bySize[size] = si
+		ix.sizes = slices.Insert(ix.sizes, sort.SearchInts(ix.sizes, size), size)
 	}
 	var ranks []int
 	if ix.mode == PositionPaper {
@@ -249,19 +252,25 @@ func probeKeys(b *lcrs.Bin, n int32, keys *[4]twig) int {
 	return k
 }
 
+// window returns the indexed tree sizes in [minSize, maxSize], ascending:
+// only these are probed, so a probe's cost does not grow with the width of
+// its size window.
+func (ix *invIndex) window(minSize, maxSize int) []int {
+	lo := sort.SearchInts(ix.sizes, minSize)
+	hi := sort.SearchInts(ix.sizes, maxSize+1)
+	return ix.sizes[lo:max(lo, hi)]
+}
+
 // probe visits the index entries that are position- and twig-compatible with
-// node n of probe tree b, for every indexed tree size in [minSize, maxSize].
+// node n of probe tree b, for every indexed tree size in sizes (a window).
 // It reports the number of entries visited.
-func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, visit func(entry)) int64 {
+func (ix *invIndex) probe(b *lcrs.Bin, n int32, sizes []int, visit func(entry)) int64 {
 	var keys [4]twig
 	nk := probeKeys(b, n, &keys)
 	r := int32(b.Size()) - 1 - b.GenRank[n]
 	var visited int64
-	for size := minSize; size <= maxSize; size++ {
+	for _, size := range sizes {
 		si := ix.bySize[size]
-		if si == nil {
-			continue
-		}
 		var lo, hi int32
 		switch ix.mode {
 		case PositionOff:
@@ -269,9 +278,12 @@ func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, visit func
 		case PositionPaper:
 			lo, hi = r, r // ranges live on the store side
 		default: // PositionSafe: size-difference-aware window around r.
+			// τ past |b|+size opens the whole window already; clamping
+			// first keeps the int32 conversions from wrapping.
+			tau := min(ix.tau, b.Size()+size)
 			d := b.Size() - size // probe minus pattern size
-			lo = r - int32((ix.tau+d)/2)
-			hi = r + int32((ix.tau-d)/2)
+			lo = r - int32((tau+d)/2)
+			hi = r + int32((tau-d)/2)
 		}
 		if lo < 0 {
 			lo = 0

@@ -137,7 +137,7 @@ func TestProbeWindowMath(t *testing.T) {
 	var sc matchScratch
 	hits := make(map[int32]bool)
 	for _, n := range bp.Order {
-		ix.probe(bp, n, pat.Size(), pat.Size(), func(e entry) {
+		ix.probe(bp, n, ix.window(pat.Size(), pat.Size()), func(e entry) {
 			if matches(parts[e.tree], e.comp, bp, n, &sc) {
 				hits[e.comp] = true
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/sim"
@@ -30,7 +31,14 @@ type Options struct {
 	Workers int
 }
 
-func (o Options) delta() int { return 2*o.Tau + 1 }
+// delta is the partition count δ = 2τ+1, saturating instead of wrapping: a
+// δ beyond every tree size partitions none, however large τ is.
+func (o Options) delta() int {
+	if o.Tau > (math.MaxInt-1)/2 {
+		return math.MaxInt
+	}
+	return 2*o.Tau + 1
+}
 
 func (o Options) validate() error {
 	if o.Tau < 0 {

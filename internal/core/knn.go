@@ -71,14 +71,6 @@ func newKNNTrees(ts []*tree.Tree, cache *engine.Cache) *knnTrees {
 	return kt
 }
 
-// KNNPart is one searcher's share of a bound-ordered k-NN search, with the
-// position each of its trees holds in the whole collection (ToGlobal nil:
-// the searcher is the whole collection).
-type KNNPart struct {
-	KNN      *KNN
-	ToGlobal []int
-}
-
 // knnBuf holds a query's collection-sized scratch: per-tree bounds, the
 // bound order, the counting-sort buckets, and the query's dense label
 // counts. Pooled, so a warm query allocates independently of the
@@ -91,9 +83,8 @@ var knnBufPool = sync.Pool{New: func() any { return new(knnBuf) }}
 
 // knnRun is one query's bound-ordered search state.
 type knnRun struct {
-	parts   []KNNPart
-	trees   []*knnTrees
-	first   []int // part p's trees are flat indexes first[p] ..< first[p+1]
+	x       *KNN
+	trees   *knnTrees
 	q       *tree.Tree
 	qv      *ted.TreeView // nil under a custom verifier
 	verify  sim.Verifier  // custom verifier, or nil for the arena kernel
@@ -106,38 +97,28 @@ type knnRun struct {
 	kth  atomic.Int64 // best[k-1].Dist, read lock-free by the scan
 }
 
-// NearestAcross returns the k trees closest to q by TED across parts,
-// ordered by (Dist, Pos) with Pos the global position, by the bound-ordered
-// scan above; workers goroutines verify (values below 1 mean GOMAXPROCS).
-// The custom verifier of the first part's options, if any, replaces the
-// arena kernel. Fewer than k matches come back only when the parts hold
-// fewer than k trees in total. Cancellation stops every worker promptly and
-// returns ctx's error with nil matches.
-func NearestAcross(ctx context.Context, parts []KNNPart, q *tree.Tree, k, workers int) ([]Match, error) {
+// NearestAcross returns the k trees of x's collection closest to q by TED,
+// ordered by (Dist, Pos), by the bound-ordered scan above; workers
+// goroutines verify (values below 1 mean GOMAXPROCS). The custom verifier
+// of x's options, if any, replaces the arena kernel. Fewer than k matches
+// come back only when the collection holds fewer than k trees. Cancellation
+// stops every worker promptly and returns ctx's error with nil matches.
+func NearestAcross(ctx context.Context, x *KNN, q *tree.Tree, k, workers int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := 0
-	first := make([]int, len(parts)+1)
-	for p, part := range parts {
-		n += part.KNN.Len()
-		first[p+1] = n
-	}
+	n := x.Len()
 	if k <= 0 || n == 0 {
 		return nil, nil
 	}
 	k = min(k, n)
 	r := &knnRun{
-		parts:   parts,
-		trees:   make([]*knnTrees, len(parts)),
-		first:   first,
+		x:       x,
+		trees:   x.knnTrees(),
 		q:       q,
-		verify:  parts[0].KNN.opts.Verifier,
+		verify:  x.opts.Verifier,
 		workers: sim.NormalizeWorkers(workers),
 		best:    make([]Match, k),
-	}
-	for p, part := range parts {
-		r.trees[p] = part.KNN.knnTrees()
 	}
 	if r.verify == nil {
 		r.qv = ted.BuildViews([]*tree.Tree{q})[0]
@@ -149,7 +130,7 @@ func NearestAcross(ctx context.Context, parts []KNNPart, q *tree.Tree, k, worker
 	// Exact distances of the k lowest-bound trees.
 	r.forEach(0, k, func(s *ted.VerifyScratch, j int) bool {
 		f := r.order[j]
-		most := r.size(f) + q.Size() // TED never exceeds |T|+|Q|
+		most := int(r.trees.sizes[f]) + q.Size() // TED never exceeds |T|+|Q|
 		tau := min(2*int(r.bounds[f])+1, most)
 		for {
 			if ctx.Err() != nil {
@@ -157,7 +138,7 @@ func NearestAcross(ctx context.Context, parts []KNNPart, q *tree.Tree, k, worker
 			}
 			d, ok := r.verifyAt(s, f, tau)
 			if ok || tau >= most {
-				r.best[j] = Match{Pos: r.global(f), Dist: d}
+				r.best[j] = Match{Pos: int(f), Dist: d}
 				return true
 			}
 			tau = min(2*tau, most)
@@ -182,7 +163,7 @@ func NearestAcross(ctx context.Context, parts []KNNPart, q *tree.Tree, k, worker
 			return false
 		}
 		if d, ok := r.verifyAt(s, f, kth); ok {
-			r.offer(Match{Pos: r.global(f), Dist: d})
+			r.offer(Match{Pos: int(f), Dist: d})
 		}
 		return true
 	})
@@ -193,7 +174,7 @@ func NearestAcross(ctx context.Context, parts []KNNPart, q *tree.Tree, k, worker
 }
 
 // sortByBound fills r.bounds with every tree's label lower bound and r.order
-// with the flat indexes counting-sorted by (bound, index), and leaves
+// with the tree indexes counting-sorted by (bound, index), and leaves
 // buf.starts[b] = the number of trees with bound ≤ b.
 func (r *knnRun) sortByBound(buf *knnBuf, n int) {
 	qs := int32(r.q.Size())
@@ -209,20 +190,17 @@ func (r *knnRun) sortByBound(buf *knnBuf, n int) {
 	buf.qc = qc
 	bounds := slices.Grow(buf.bounds[:0], n)[:n]
 	maxB := int32(0)
-	f := 0
-	for _, kt := range r.trees {
-		for i, size := range kt.sizes {
-			common := int32(0)
-			for _, lc := range kt.hist[kt.off[i]:kt.off[i+1]] {
-				if int(lc.label) < len(qc) {
-					common += min(lc.count, qc[lc.label])
-				}
+	kt := r.trees
+	for i, size := range kt.sizes {
+		common := int32(0)
+		for _, lc := range kt.hist[kt.off[i]:kt.off[i+1]] {
+			if int(lc.label) < len(qc) {
+				common += min(lc.count, qc[lc.label])
 			}
-			b := max(size, qs) - common
-			bounds[f] = b
-			maxB = max(maxB, b)
-			f++
 		}
+		b := max(size, qs) - common
+		bounds[i] = b
+		maxB = max(maxB, b)
 	}
 	starts := slices.Grow(buf.starts[:0], int(maxB)+1)[:maxB+1]
 	clear(starts)
@@ -275,35 +253,13 @@ func (r *knnRun) forEach(lo, hi int, fn func(s *ted.VerifyScratch, j int) bool) 
 	wg.Wait()
 }
 
-// locate maps a flat index to its part and the part-local position.
-func (r *knnRun) locate(f int32) (p, i int) {
-	for int(f) >= r.first[p+1] {
-		p++
-	}
-	return p, int(f) - r.first[p]
-}
-
-func (r *knnRun) size(f int32) int {
-	p, i := r.locate(f)
-	return int(r.trees[p].sizes[i])
-}
-
-func (r *knnRun) global(f int32) int {
-	p, i := r.locate(f)
-	if tg := r.parts[p].ToGlobal; tg != nil {
-		return tg[i]
-	}
-	return i
-}
-
 // verifyAt decides TED(tree f, q) ≤ tau under the tri-state verifier
 // contract (exact distance on success).
 func (r *knnRun) verifyAt(s *ted.VerifyScratch, f int32, tau int) (int, bool) {
-	p, i := r.locate(f)
 	if r.verify != nil {
-		return r.verify(r.parts[p].KNN.ts[i], r.q, tau)
+		return r.verify(r.x.ts[f], r.q, tau)
 	}
-	return ted.DistanceBoundedView(r.trees[p].views[i], r.qv, tau, s, nil)
+	return ted.DistanceBoundedView(r.trees.views[f], r.qv, tau, s, nil)
 }
 
 // compareMatch orders matches by (Dist, Pos).

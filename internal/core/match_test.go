@@ -205,7 +205,7 @@ func TestIndexProbeFindsMatches(t *testing.T) {
 					continue
 				}
 				seen := false
-				ix.probe(b2, node, b1.Size(), b1.Size(), func(e entry) {
+				ix.probe(b2, node, ix.window(b1.Size(), b1.Size()), func(e entry) {
 					if e.comp == int32(c) && matches(parts[e.tree], e.comp, b2, node, &sc) {
 						seen = true
 					}

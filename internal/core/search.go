@@ -29,6 +29,9 @@ type Index struct {
 	parts  []*Partition
 	ix     *invIndex
 	smalls []int
+	// maxSize is the largest collection tree: a search clamps τ to
+	// |q|+maxSize (see sim.TauCap).
+	maxSize int
 }
 
 // Match is one search hit: collection position and exact distance.
@@ -64,6 +67,7 @@ func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 	delta := opts.delta()
 	partKey := partitionCacheKey(delta)
 	for i, t := range ts {
+		ix.maxSize = max(ix.maxSize, t.Size())
 		if t.Size() < delta {
 			ix.smalls = append(ix.smalls, i)
 			continue
@@ -100,7 +104,7 @@ const searchCtxStride = 64
 func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 	b := lcrs.Build(q)
 	sz := q.Size()
-	tau := x.opts.Tau
+	tau := min(x.opts.Tau, sz+x.maxSize)
 	seen := make(map[int32]bool)
 	var cands []int
 	for _, i := range x.smalls {
@@ -117,12 +121,13 @@ func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 	if minSize < 1 {
 		minSize = 1
 	}
+	sizes := x.ix.window(minSize, sz+tau)
 	var sc matchScratch
 	for k, n := range b.Order {
 		if k%searchCtxStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		x.ix.probe(b, n, minSize, sz+tau, func(e entry) {
+		x.ix.probe(b, n, sizes, func(e entry) {
 			if seen[e.tree] {
 				return
 			}

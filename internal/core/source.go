@@ -159,6 +159,7 @@ type joiner struct {
 
 func newJoiner(c *engine.Collection, opts Options) *joiner {
 	n := len(c.Trees)
+	opts.Tau = c.Tau // clamped by the engine (see sim.TauCap)
 	j := &joiner{
 		c:       c,
 		opts:    opts,
@@ -332,8 +333,9 @@ func (j *joiner) probeAndCollect(px *engine.Pipeline, ti int, ix *invIndex, smal
 	if minSize < 1 {
 		minSize = 1
 	}
+	sizes := ix.window(minSize, sz)
 	for _, n := range b.Order {
-		stats.SubgraphProbes += ix.probe(b, n, minSize, sz, func(e entry) {
+		stats.SubgraphProbes += ix.probe(b, n, sizes, func(e entry) {
 			switch st := j.state[e.tree]; {
 			case st>>2 != gen:
 				if !px.Screen(ti, int(e.tree)) {

@@ -51,22 +51,8 @@ func TopKCtx(ctx context.Context, ts []*tree.Tree, k int, opts Options, shards i
 	if all := len(ts) * (len(ts) - 1) / 2; k > all {
 		k = all
 	}
-	// τ never needs to exceed maxSize + secondMaxSize: deleting one tree
-	// entirely and inserting the other is an edit script for any pair.
-	var max1, max2 int
-	for _, t := range ts {
-		switch s := t.Size(); {
-		case s > max1:
-			max1, max2 = s, max1
-		case s > max2:
-			max2 = s
-		}
-	}
-	tauCap := max1 + max2
-	tau := opts.Tau
-	if tau < 1 {
-		tau = 1
-	}
+	tauCap := sim.TauCap(ts)
+	tau := min(max(opts.Tau, 1), tauCap)
 	for {
 		o := opts
 		o.Tau = tau
@@ -268,5 +254,5 @@ func (x *KNN) Nearest(q *tree.Tree, k int) []Match {
 // NearestCtx is Nearest under a context: cancellation stops the
 // verification pass promptly and returns ctx's error with nil matches.
 func (x *KNN) NearestCtx(ctx context.Context, q *tree.Tree, k int) ([]Match, error) {
-	return NearestAcross(ctx, []KNNPart{{KNN: x}}, q, k, x.opts.Workers)
+	return NearestAcross(ctx, x, q, k, x.opts.Workers)
 }

@@ -107,6 +107,10 @@ func (c *Collection) WindowStart(sz int) int {
 
 func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int, cache *Cache, dynTokens func(Tokenizer) *TokenSnap) *Collection {
 	workers = sim.NormalizeWorkers(workers)
+	// Every engine run and calibration probe builds its collection here, so
+	// this is where an extreme threshold is clamped: sources, filters and
+	// verification all read c.Tau.
+	tau = min(tau, sim.TauCap(ts))
 	if cache == nil {
 		cache = NewCache()
 	}
@@ -549,7 +553,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		}
 	}
 	stats.CandWall += tasksWall - inline
-	sim.VerifyStreamBatched(ctx, cands, job.Tau, vfactory, c.Workers, stats, em.emit)
+	sim.VerifyStreamBatched(ctx, cands, c.Tau, vfactory, c.Workers, stats, em.emit)
 	stats.Results = em.n
 	stats.DPAvoided += c.counters.DPAvoided.Load()
 	stats.KeyrootsSkipped += c.counters.KeyrootsSkipped.Load()

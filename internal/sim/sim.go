@@ -181,6 +181,26 @@ func DefaultVerifier(t1, t2 *tree.Tree, tau int) (int, bool) {
 	return ted.DistanceBounded(t1, t2, tau)
 }
 
+// TauCap returns the sum of the two largest tree sizes in ts (the one size
+// of a single tree): no pair drawn from ts is further apart, since deleting
+// one tree and inserting the other is an edit script of that cost. Every
+// threshold above it therefore answers exactly as TauCap does, so threshold
+// queries clamp τ to it before any arithmetic on τ (2τ+1 partitions, size
+// windows, q-gram and prefix bounds) can overflow or size work by an
+// unbounded τ.
+func TauCap(ts []*tree.Tree) int {
+	var max1, max2 int
+	for _, t := range ts {
+		switch s := t.Size(); {
+		case s > max1:
+			max1, max2 = s, max1
+		case s > max2:
+			max2 = s
+		}
+	}
+	return max1 + max2
+}
+
 // SizeOrder returns tree indices sorted by ascending size, ties by index, as
 // required by Algorithm 1 (line 3).
 func SizeOrder(ts []*tree.Tree) []int {

@@ -39,6 +39,9 @@ func Search(data, query *tree.Tree, tau int) []Match {
 		return nil
 	}
 	qSize := query.Size()
+	// No subtree is further than |data|+|query| from the query (see
+	// sim.TauCap); clamping keeps qSize+tau from wrapping.
+	tau = min(tau, data.Size()+qSize)
 	qView := ted.BuildViews([]*tree.Tree{query})[0]
 	s := ted.AcquireScratch()
 	defer ted.ReleaseScratch(s)

@@ -1,6 +1,7 @@
 package subtree_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -87,6 +88,28 @@ func TestSearchMatchesOracle(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d τ=%d: match %d = %v, want %v", trial, tau, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestSearchExtremeThreshold: a τ past every possible distance reports
+// every subtree with its exact distance; τ near the int range must not wrap
+// the size window and drop them all.
+func TestSearchExtremeThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	lt := tree.NewLabelTable()
+	data := randTree(rng, lt, 40, 4)
+	query := randTree(rng, lt, 6, 4)
+	want := naive(data, query, data.Size()+query.Size())
+	for _, tau := range []int{1 << 40, math.MaxInt32 + 1, math.MaxInt64} {
+		got := subtree.Search(data, query, tau)
+		if len(got) != len(want) {
+			t.Fatalf("τ=%d: %d matches, want %d", tau, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("τ=%d: match %d = %v, want %v", tau, i, got[i], want[i])
 			}
 		}
 	}
